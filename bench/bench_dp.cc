@@ -237,8 +237,8 @@ int main(int argc, char** argv) {
   const simd::DpTier saved = simd::ActiveDpTier();
 
   const simd::DpTier tiers[] = {simd::DpTier::kScalar, simd::DpTier::kSse2,
-                                simd::DpTier::kAvx2, simd::DpTier::kAvx2i16};
-  constexpr int kTiers = 4;
+                                simd::DpTier::kAvx2};
+  constexpr int kTiers = 3;
   double avx2_long_speedup = -1;
   bool avx2_present = simd::DpTierSupported(simd::DpTier::kAvx2);
 
@@ -275,14 +275,15 @@ int main(int argc, char** argv) {
   }
 
   // Gap-fork pairing: two 6-cell rows per step, the shape the ALAE engine
-  // batches when sibling forks descend the same suffix-trie node.
-  if (simd::DpTierSupported(simd::DpTier::kAvx2i16)) {
+  // batches when sibling forks descend the same suffix-trie node. Under
+  // kAvx2, ComputeRowPair runs them through the int16 pair kernel.
+  if (avx2_present) {
     RowSet set = MakeRowSet(6, flags.Q(8192), flags.seed + 99);
-    simd::SetDpTier(simd::DpTier::kAvx2i16);
+    simd::SetDpTier(simd::DpTier::kAvx2);
     double seq_ns = MeasurePairs(&set, /*paired=*/false);
     double pair_ns = MeasurePairs(&set, /*paired=*/true);
     simd::SetDpTier(saved);
-    std::printf("fork pairs, len=6 (avx2_i16)\n");
+    std::printf("fork pairs, len=6 (avx2 int16 pair kernel)\n");
     TablePrinter table({"entry", "ns/cell", "vs sequential"});
     table.AddRow({"sequential", Ns(seq_ns), "1.00x"});
     table.AddRow({"paired", Ns(pair_ns), Speedup(seq_ns, pair_ns)});

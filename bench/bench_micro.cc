@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark): the substrate kernels — SA-IS
-// construction, FM backward search (flat vs wavelet occ), locate, DP cell
+// construction, FM backward search, locate, DP cell
 // throughput — that determine the constants behind every table, plus the
 // api::Aligner facade path (dispatch + validation + sink overhead).
 
@@ -40,12 +40,9 @@ void BM_FmIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_FmIndexBuild)->Arg(1 << 20);
 
-template <bool kWavelet>
 void BM_BackwardSearch(benchmark::State& state) {
   Sequence text = MakeText(1 << 20);
-  FmIndexOptions options;
-  options.use_wavelet = kWavelet;
-  FmIndex fm(text, options);
+  FmIndex fm(text);
   SequenceGenerator gen(5);
   std::vector<Sequence> patterns;
   for (int i = 0; i < 64; ++i) patterns.push_back(gen.Random(12, Alphabet::Dna()));
@@ -55,8 +52,7 @@ void BM_BackwardSearch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 12);  // steps per search
 }
-BENCHMARK(BM_BackwardSearch<false>)->Name("BM_BackwardSearch/flat");
-BENCHMARK(BM_BackwardSearch<true>)->Name("BM_BackwardSearch/wavelet");
+BENCHMARK(BM_BackwardSearch)->Name("BM_BackwardSearch/flat");
 
 void BM_Locate(benchmark::State& state) {
   Sequence text = MakeText(1 << 20);

@@ -1,7 +1,6 @@
 // Occ microbench: throughput of the FM-index backward-search hot path for
-// the three occ representations — the packed popcount blocks (current flat
-// mode), the retired byte-BWT scalar-scan flat occ (reimplemented here as
-// the legacy baseline), and the wavelet tree — plus the batched ExtendAll
+// the packed popcount blocks against the retired byte-BWT scalar-scan occ
+// (reimplemented here as the legacy baseline), plus the batched ExtendAll
 // trie descent against per-child Extend.
 //
 //   ./bench_occ [--n=...] [--queries=...] [--seed=...] [--json=out.json]
@@ -221,9 +220,6 @@ double RunAlphabet(const char* label, AlphabetKind kind, int64_t n,
   Sequence text = gen.Random(n, alphabet);
 
   FmIndex packed(text);
-  FmIndexOptions wavelet_options;
-  wavelet_options.use_wavelet = true;
-  FmIndex wavelet(text, wavelet_options);
   LegacyScalarFm legacy(text);
 
   // Text substrings: every backward step of the search succeeds, so the
@@ -248,9 +244,6 @@ double RunAlphabet(const char* label, AlphabetKind kind, int64_t n,
   Measurement ext_legacy = MeasureExtends(
       patterns, full, reps,
       [&](const SaRange& r, Symbol c) { return legacy.Extend(r, c); });
-  Measurement ext_wavelet = MeasureExtends(
-      patterns, full, reps,
-      [&](const SaRange& r, Symbol c) { return wavelet.Extend(r, c); });
 
   Measurement desc_packed = MeasureDescent(
       full, sigma, node_budget,
@@ -261,9 +254,6 @@ double RunAlphabet(const char* label, AlphabetKind kind, int64_t n,
           out[c] = legacy.Extend(node, static_cast<Symbol>(c));
         }
       });
-  Measurement desc_wavelet = MeasureDescent(
-      full, sigma, node_budget,
-      [&](const SaRange& node, SaRange* out) { wavelet.ExtendAll(node, out); });
 
   std::printf("%s, n=%lld, %d patterns x %lld chars x %d reps\n", label,
               static_cast<long long>(n), num_patterns,
@@ -275,17 +265,11 @@ double RunAlphabet(const char* label, AlphabetKind kind, int64_t n,
                 Speedup(ext_legacy.ns_per_op, ext_packed.ns_per_op)});
   table.AddRow({"extend", "legacy scalar", Ns(ext_legacy.ns_per_op),
                 Rate(ext_legacy.ops_per_sec), "1.00x"});
-  table.AddRow({"extend", "wavelet", Ns(ext_wavelet.ns_per_op),
-                Rate(ext_wavelet.ops_per_sec),
-                Speedup(ext_legacy.ns_per_op, ext_wavelet.ns_per_op)});
   table.AddRow({"descend", "packed ExtendAll", Ns(desc_packed.ns_per_op),
                 Rate(desc_packed.ops_per_sec),
                 Speedup(desc_legacy.ns_per_op, desc_packed.ns_per_op)});
   table.AddRow({"descend", "legacy per-child", Ns(desc_legacy.ns_per_op),
                 Rate(desc_legacy.ops_per_sec), "1.00x"});
-  table.AddRow({"descend", "wavelet ExtendAll", Ns(desc_wavelet.ns_per_op),
-                Rate(desc_wavelet.ops_per_sec),
-                Speedup(desc_legacy.ns_per_op, desc_wavelet.ns_per_op)});
   std::printf("%s\n", table.ToString().c_str());
 
   std::string prefix = std::string(label) + "/";
@@ -293,40 +277,25 @@ double RunAlphabet(const char* label, AlphabetKind kind, int64_t n,
               ext_packed.ops_per_sec);
   report->Add(prefix + "extend/legacy_scalar", ext_legacy.ns_per_op,
               ext_legacy.ops_per_sec);
-  report->Add(prefix + "extend/wavelet", ext_wavelet.ns_per_op,
-              ext_wavelet.ops_per_sec);
   report->Add(prefix + "extend_all/packed", desc_packed.ns_per_op,
               desc_packed.ops_per_sec);
   report->Add(prefix + "extend_all/legacy_per_child", desc_legacy.ns_per_op,
               desc_legacy.ops_per_sec);
-  report->Add(prefix + "extend_all/wavelet", desc_wavelet.ns_per_op,
-              desc_wavelet.ops_per_sec);
   return desc_legacy.ns_per_op / desc_packed.ns_per_op;
 }
 
-// Checkpoint-layout series: the two flat layouts for sigma > 4 — the PR 2
-// single-level u32-checkpoint blocks ("old packed") against the two-level
-// u8-delta blocks — on single extends, batched lockstep extends
-// (ExtendBatch) and ExtendAll descents, plus the static block geometry.
-// The `occ/layout/` timing family is CI-gated (anchored at the
-// single-level single extend); the `occ/size/` entries carry bytes per
-// block and occ bits per text char, which are deterministic and excluded
-// from the timing gates.
-//
-// Returns the headline ratio: two-level *batched* single-extend speedup
-// over the single-level single extend (the "batched single-extend >= 2x vs
-// the old packed layout" acceptance line).
-double RunLayoutSeries(const char* label, AlphabetKind kind, int64_t n,
-                       int32_t num_patterns, uint64_t seed,
-                       JsonReport* report) {
+// Checkpoint-layout series for sigma > 4: the two-level u8-delta blocks on
+// single extends, batched lockstep extends (ExtendBatch) and ExtendAll
+// descents, plus the static block geometry. The `occ/layout/` timing family
+// is CI-gated (anchored at the same run's protein/extend/legacy_scalar);
+// the `occ/size/` entry carries bytes per block and occ bits per text
+// char, which are deterministic and excluded from the timing gates.
+void RunLayoutSeries(const char* label, AlphabetKind kind, int64_t n,
+                     int32_t num_patterns, uint64_t seed, JsonReport* report) {
   SequenceGenerator gen(seed);
   const Alphabet& alphabet = Alphabet::Get(kind);
   Sequence text = gen.Random(n, alphabet);
-
-  FmIndexOptions single_options;
-  single_options.two_level_occ = false;
-  FmIndex single(text, single_options);
-  FmIndex two_level(text);  // the default
+  FmIndex fm(text);
 
   const int64_t pattern_len = 48;
   std::vector<Sequence> patterns;
@@ -340,73 +309,48 @@ double RunLayoutSeries(const char* label, AlphabetKind kind, int64_t n,
   const int reps = 40;
   const int lanes = 16;
   const int sigma = text.sigma();
-  const SaRange full = single.FullRange();
+  const SaRange full = fm.FullRange();
 
-  struct Variant {
-    const char* name;
-    const FmIndex* fm;
-    FmOccLayout layout;
-  };
-  // Mirrors FmIndex::InitOccGeometry's layout choice for sigma > 4.
-  const FmOccLayout sl_layout =
-      sigma <= 15 ? FmOccLayout::k4Bit : FmOccLayout::kByte;
-  const FmOccLayout tl_layout =
-      sigma <= 15 ? FmOccLayout::k4BitTwoLevel : FmOccLayout::kByteTwoLevel;
-  const Variant variants[] = {
-      {"single_level", &single, sl_layout},
-      {"two_level", &two_level, tl_layout},
-  };
+  Measurement ext1 = MeasureExtends(
+      patterns, full, reps,
+      [&](const SaRange& r, Symbol c) { return fm.Extend(r, c); });
+  Measurement extb = MeasureBatchedExtends(
+      patterns, full, reps, lanes,
+      [&](const SaRange* in, const Symbol* cs, SaRange* out, int count) {
+        fm.ExtendBatch(in, cs, out, count);
+      });
+  Measurement desc = MeasureDescent(
+      full, sigma, 200'000,
+      [&](const SaRange& node, SaRange* out) { fm.ExtendAll(node, out); });
 
-  std::printf("%s checkpoint layouts, n=%lld, %d patterns x %lld chars\n",
+  const FmOccLayout layout = FmLayoutForSigma(sigma);
+  const FmOccGeometry geo = FmLayoutGeometry(layout);
+  const int block_words = FmLayoutCpWords(layout, sigma + 1) + geo.data_words;
+  const double block_bytes = 8.0 * static_cast<double>(block_words);
+  const double bits_per_char =
+      8.0 * static_cast<double>(fm.SizeBytes().bwt_bytes) /
+      static_cast<double>(n);
+
+  std::printf("%s checkpoint layout, n=%lld, %d patterns x %lld chars\n",
               label, static_cast<long long>(n), num_patterns,
               static_cast<long long>(pattern_len));
   TablePrinter table({"layout", "block", "occ bits/char", "extend1",
                       "extend batch16", "extend_all"});
-  double single_extend1_ns = 0;
-  double two_level_batch_ns = 0;
-  for (const Variant& v : variants) {
-    Measurement ext1 = MeasureExtends(
-        patterns, full, reps,
-        [&](const SaRange& r, Symbol c) { return v.fm->Extend(r, c); });
-    Measurement extb = MeasureBatchedExtends(
-        patterns, full, reps, lanes,
-        [&](const SaRange* in, const Symbol* cs, SaRange* out, int count) {
-          v.fm->ExtendBatch(in, cs, out, count);
-        });
-    Measurement desc = MeasureDescent(
-        full, sigma, 200'000, [&](const SaRange& node, SaRange* out) {
-          v.fm->ExtendAll(node, out);
-        });
-
-    const FmOccGeometry geo = FmLayoutGeometry(v.layout);
-    const int cp_count = sigma + 1;
-    const int block_words = FmLayoutCpWords(v.layout, cp_count) +
-                            geo.data_words;
-    const double block_bytes = 8.0 * static_cast<double>(block_words);
-    const double bits_per_char =
-        8.0 * static_cast<double>(v.fm->SizeBytes().bwt_bytes) /
-        static_cast<double>(n);
-
-    char block_desc[48];
-    std::snprintf(block_desc, sizeof(block_desc), "%.0fB/%d sym",
-                  block_bytes, geo.spb);
-    char bits_desc[32];
-    std::snprintf(bits_desc, sizeof(bits_desc), "%.2f", bits_per_char);
-    table.AddRow({v.name, block_desc, bits_desc, Ns(ext1.ns_per_op),
-                  Ns(extb.ns_per_op), Ns(desc.ns_per_op)});
-
-    std::string prefix = std::string("occ/layout/") + label + "/" + v.name;
-    report->Add(prefix + "/extend1", ext1.ns_per_op, ext1.ops_per_sec);
-    report->Add(prefix + "/extend_batch", extb.ns_per_op, extb.ops_per_sec);
-    report->Add(prefix + "/extend_all", desc.ns_per_op, desc.ops_per_sec);
-    report->Add(std::string("occ/size/") + label + "/" + v.name,
-                block_bytes, bits_per_char);
-
-    if (v.fm == &single) single_extend1_ns = ext1.ns_per_op;
-    if (v.fm == &two_level) two_level_batch_ns = extb.ns_per_op;
-  }
+  char block_desc[48];
+  std::snprintf(block_desc, sizeof(block_desc), "%.0fB/%d sym", block_bytes,
+                geo.spb);
+  char bits_desc[32];
+  std::snprintf(bits_desc, sizeof(bits_desc), "%.2f", bits_per_char);
+  table.AddRow({"two_level", block_desc, bits_desc, Ns(ext1.ns_per_op),
+                Ns(extb.ns_per_op), Ns(desc.ns_per_op)});
   std::printf("%s\n", table.ToString().c_str());
-  return single_extend1_ns / two_level_batch_ns;
+
+  std::string prefix = std::string("occ/layout/") + label + "/two_level";
+  report->Add(prefix + "/extend1", ext1.ns_per_op, ext1.ops_per_sec);
+  report->Add(prefix + "/extend_batch", extb.ns_per_op, extb.ops_per_sec);
+  report->Add(prefix + "/extend_all", desc.ns_per_op, desc.ops_per_sec);
+  report->Add(std::string("occ/size/") + label + "/two_level", block_bytes,
+              bits_per_char);
 }
 
 }  // namespace
@@ -423,10 +367,8 @@ int main(int argc, char** argv) {
                   flags.Q(1'000), flags.seed, &report);
   RunAlphabet("protein", AlphabetKind::kProtein, flags.N(4'000'000) / 4,
               flags.Q(1'000), flags.seed, &report);
-  double protein_batched =
-      RunLayoutSeries("protein", AlphabetKind::kProtein,
-                      flags.N(4'000'000) / 4, flags.Q(1'000), flags.seed,
-                      &report);
+  RunLayoutSeries("protein", AlphabetKind::kProtein, flags.N(4'000'000) / 4,
+                  flags.Q(1'000), flags.seed, &report);
 
   if (!report.WriteTo(flags.json)) return 1;
 
@@ -435,11 +377,5 @@ int main(int argc, char** argv) {
       "%.2fx %s\n",
       dna_speedup,
       dna_speedup >= 3.0 ? "(target >= 3x met)" : "(below the 3x target)");
-  std::printf(
-      "protein two-level batched single-extend vs old packed layout: "
-      "%.2fx %s\n",
-      protein_batched,
-      protein_batched >= 2.0 ? "(target >= 2x met)"
-                             : "(below the 2x target)");
   return dna_speedup >= 3.0 ? 0 : 2;
 }

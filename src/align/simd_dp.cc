@@ -17,8 +17,6 @@ namespace {
 
 RowKernelFn KernelFor(DpTier tier) {
   switch (tier) {
-    case DpTier::kAvx2i16:
-      return internal::Avx2I16Kernel();
     case DpTier::kAvx2:
       return internal::Avx2Kernel();
     case DpTier::kSse2:
@@ -32,7 +30,6 @@ RowKernelFn KernelFor(DpTier tier) {
 bool CpuSupports(DpTier tier) {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
   switch (tier) {
-    case DpTier::kAvx2i16:
     case DpTier::kAvx2:
       return __builtin_cpu_supports("avx2");
     case DpTier::kSse2:
@@ -45,18 +42,8 @@ bool CpuSupports(DpTier tier) {
 }
 
 DpTier DetectTier() {
-  // The int32 AVX2 kernel wins on standalone rows (the int16 tier's
-  // pack/unpack and range checks eat its ALU-width advantage when inputs
-  // and outputs stay int32 in memory — see bench_dp); the int16 kernel's
-  // real edge is the 16-lane *pair* batching, which ComputeRowPair uses
-  // under any AVX2-capable dispatch. So the resolved default is kAvx2,
-  // with kAvx2i16 still selectable through SetDpTier.
   if (KernelFor(DpTier::kAvx2) != nullptr && CpuSupports(DpTier::kAvx2)) {
     return DpTier::kAvx2;
-  }
-  if (KernelFor(DpTier::kAvx2i16) != nullptr &&
-      CpuSupports(DpTier::kAvx2i16)) {
-    return DpTier::kAvx2i16;
   }
   if (KernelFor(DpTier::kSse2) != nullptr && CpuSupports(DpTier::kSse2)) {
     return DpTier::kSse2;
@@ -88,11 +75,13 @@ void ComputeRow(const RowSpec& spec, RowStats* stats) {
 void ComputeRowPair(const RowSpec& a, const RowSpec& b, RowStats* sa,
                     RowStats* sb) {
   // The int16 pair kernel is where narrow-row batching pays (two fork rows
-  // share one 16-lane pass); it is bit-exact against the scalar spec, so
-  // any AVX2-capable dispatch uses it — including the default int32 tier,
-  // where standalone rows are faster in int32 but paired narrow rows are
-  // not. Scalar/SSE2 dispatches keep pairs on the sequential path.
-  if (ActiveDpTier() >= DpTier::kAvx2 && CpuSupports(DpTier::kAvx2i16)) {
+  // share one 16-lane pass). Standalone rows are faster in int32 (int16's
+  // pack/unpack and range checks eat its ALU-width advantage when rows stay
+  // int32 in memory), paired narrow rows are not. The kernel is bit-exact
+  // against the scalar spec; scalar/SSE2 dispatches keep pairs on the
+  // sequential path. SetDpTier only accepts kAvx2 on AVX2 hosts, so the
+  // tier check is also the CPU check.
+  if (ActiveDpTier() == DpTier::kAvx2) {
     PairKernelFn fn = internal::Avx2I16PairKernel();
     if (fn != nullptr) {
       fn(a, b, sa, sb);
@@ -121,8 +110,6 @@ bool SetDpTier(DpTier tier) {
 
 const char* DpTierName(DpTier tier) {
   switch (tier) {
-    case DpTier::kAvx2i16:
-      return "avx2_i16";
     case DpTier::kAvx2:
       return "avx2";
     case DpTier::kSse2:

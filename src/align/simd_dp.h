@@ -74,11 +74,11 @@ struct DpRow {
 // the open interval just above kNegInf where int32 drift used to land.
 // Values there are as dead as the sentinel (bounds are >= 0, chains only
 // decay), so collapsing them changes no survivor and no score; what it
-// buys is a narrow-integer tier: with every value either exactly kNegInf
+// buys is a narrow-integer kernel: with every value either exactly kNegInf
 // or a real score of bounded magnitude, kNegInf maps 1:1 onto the int16
-// saturation floor -32768 and the int16 kernel can be bit-exact against
-// this spec (out-of-range reals are detected and rerun in int32 — see
-// DpTier::kAvx2i16).
+// saturation floor -32768 and the int16 pair kernel can be bit-exact
+// against this spec (out-of-range reals are detected and recomputed in
+// int32 — see ComputeRowPair).
 //
 // Preconditions: len >= 1, gap_extend < 0, gap_open_extend <= gap_extend
 // (i.e. gap open cost <= 0), bound_base >= 0, bound_step >= 0, all input
@@ -115,12 +115,8 @@ using PairKernelFn = void (*)(const RowSpec&, const RowSpec&, RowStats*,
                               RowStats*);
 
 // Dispatch tiers, ordered by preference. kScalar is always available and is
-// the differential oracle the vector kernels are tested against. kAvx2i16
-// runs the compute chain in saturating int16 (16 cells per instruction)
-// with load-time range detection: a row whose scores cannot be represented
-// exactly is rerun through the int32 AVX2 kernel, so results are bit-exact
-// regardless of tier.
-enum class DpTier { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx2i16 = 3 };
+// the differential oracle the vector kernels are tested against.
+enum class DpTier { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
 // Computes one row through the currently dispatched kernel.
 void ComputeRow(const RowSpec& spec, RowStats* stats);
@@ -145,7 +141,6 @@ namespace internal {
 // compiled without that instruction set (see CMake flag probing).
 RowKernelFn Sse2Kernel();
 RowKernelFn Avx2Kernel();
-RowKernelFn Avx2I16Kernel();
 PairKernelFn Avx2I16PairKernel();
 
 // Continues the row recurrence cell by cell from k0 with chain state
@@ -215,11 +210,13 @@ inline void ComputeRowAuto(const RowSpec& spec, RowStats* stats) {
 }
 
 // Computes two INDEPENDENT rows (no data dependence between them) in one
-// call. Identical to ComputeRowAuto on each spec; under the int16 tier,
-// rows of 1..8 cells each are computed together in one 16-lane kernel pass
-// — row a in the low 128-bit lane, row b in the high lane — so the vector
-// lanes a narrow row leaves empty do the other row's work. Results are
-// bit-exact against sequential ComputeRowAuto calls in every case.
+// call. Identical to ComputeRowAuto on each spec; under the kAvx2 tier,
+// rows of 1..8 cells each are computed together in one saturating int16
+// 16-lane kernel pass — row a in the low 128-bit lane, row b in the high
+// lane — so the vector lanes a narrow row leaves empty do the other row's
+// work. A half whose values cannot be represented exactly in int16 is
+// recomputed by the scalar loop, so results are bit-exact against
+// sequential ComputeRowAuto calls in every case.
 void ComputeRowPair(const RowSpec& a, const RowSpec& b, RowStats* sa,
                     RowStats* sb);
 

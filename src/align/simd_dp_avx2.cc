@@ -157,19 +157,20 @@ void RowAvx2(const RowSpec& spec, RowStats* stats) {
 }
 
 // ---------------------------------------------------------------------------
-// int16 tier. The compute chain runs in saturating int16 — 16 cells per
-// instruction instead of 8 — which the absorbing-sentinel contract makes
-// exact: every value is either a real score or exactly kNegInf, and kNegInf
-// saturates onto the int16 sentinel -32768 at load (packs_epi32) and stays
-// there through every adds/max (saturation at the bottom IS the contract's
-// floor). Anything the mapping cannot represent — a real score outside
-// [-32767, 32767] at load, or a real chain saturating onto the sentinel or
-// the int16 ceiling mid-row — raises a clip flag and the whole row reruns
-// through the int32 kernel, so results are bit-exact in every case. Clips
-// never fire for real alignment scores (they would need |score| ~ 32k);
-// the detection exists so the tier is safe, not because it is expected.
-// Bound comparison and stores stay in int32 (the row arrays are int32; the
-// int16 win is the compute chain, not the memory format).
+// int16 helpers for the pair kernel below. Its compute chain runs in
+// saturating int16 — 16 cells per instruction instead of 8 — which the
+// absorbing-sentinel contract makes exact: every value is either a real
+// score or exactly kNegInf, and kNegInf saturates onto the int16 sentinel
+// -32768 at load (packs_epi32) and stays there through every adds/max
+// (saturation at the bottom IS the contract's floor). Anything the mapping
+// cannot represent — a real score outside [-32767, 32767] at load, or a
+// real chain saturating onto the sentinel or the int16 ceiling — raises a
+// clip flag and that row is recomputed by the scalar loop, so results are
+// bit-exact in every case. Clips never fire for real alignment scores
+// (they would need |score| ~ 32k); the detection exists so the kernel is
+// safe, not because it is expected. Bound comparison and stores stay in
+// int32 (the row arrays are int32; the int16 win is the compute chain, not
+// the memory format).
 // ---------------------------------------------------------------------------
 
 constexpr int16_t kSentI16 = -32768;
@@ -195,14 +196,6 @@ inline void ClipCheck32(__m256i v, __m256i vninf32, __m256i* clip) {
   *clip = _mm256_or_si256(*clip, bad);
 }
 
-inline __m256i Load16AsI16(const int32_t* p, __m256i vninf32, __m256i* clip) {
-  __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8));
-  ClipCheck32(lo, vninf32, clip);
-  ClipCheck32(hi, vninf32, clip);
-  return PackCells16(lo, hi);
-}
-
 // int16 half -> int32, mapping the int16 sentinel back to kNegInf.
 inline __m256i UnpackHalfI32(__m256i v, int half, __m256i vninf32) {
   __m128i h = half ? _mm256_extracti128_si256(v, 1)
@@ -214,7 +207,7 @@ inline __m256i UnpackHalfI32(__m256i v, int half, __m256i vninf32) {
 
 // Whether the row's additive offsets (k*ss and oe-(k+1)*ss, k < len) and
 // gb_init fit int16 alongside worst-case real inputs. Rows failing this go
-// straight to the int32 kernel — no correctness dependence, pure routing.
+// straight to the int32 path — no correctness dependence, pure routing.
 inline bool I16RowEligible(int64_t len, int32_t ss, int32_t oe,
                            int32_t gb_init) {
   int64_t span = len * -static_cast<int64_t>(ss) - static_cast<int64_t>(oe);
@@ -234,165 +227,6 @@ inline int16_t BiasGbInit(int32_t gb_init) {
   return gb_init <= kNegInf
              ? static_cast<int16_t>(0)
              : static_cast<int16_t>(static_cast<uint16_t>(gb_init) ^ 0x8000u);
-}
-
-void RowAvx2I16(const RowSpec& spec, RowStats* stats) {
-  if (spec.len < kMinVectorRow) {
-    internal::RowScalarTail(spec, 0, kNegInf, kNegInf, stats);
-    return;
-  }
-  const int32_t ss = spec.gap_extend;
-  const int32_t oe = spec.gap_open_extend;
-  if (!I16RowEligible(spec.len, ss, oe, spec.gb_init)) {
-    RowAvx2(spec, stats);
-    return;
-  }
-  const __m256i vninf32 = _mm256_set1_epi32(kNegInf);
-  const __m256i vsent = _mm256_set1_epi16(kSentI16);  // also the bias xor
-  const __m256i vmax16 = _mm256_set1_epi16(32767);
-  const __m256i vss16 = _mm256_set1_epi16(static_cast<int16_t>(ss));
-  const __m256i voe16 = _mm256_set1_epi16(static_cast<int16_t>(oe));
-  const __m256i vbase = _mm256_set1_epi32(spec.bound_base);
-
-  // Per-lane offsets, advanced by plain adds per block: k*ss for the scan
-  // unbias, oe-(k+1)*ss for w. Eligibility bounds both within int16.
-  alignas(32) int16_t init16[16];
-  alignas(32) int16_t woff16[16];
-  for (int j = 0; j < 16; ++j) {
-    init16[j] = static_cast<int16_t>(j * ss);
-    woff16[j] = static_cast<int16_t>(oe - (j + 1) * ss);
-  }
-  __m256i vkss16 = _mm256_load_si256(reinterpret_cast<const __m256i*>(init16));
-  __m256i vwoff16 =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(woff16));
-  const __m256i vkss_step = _mm256_set1_epi16(static_cast<int16_t>(16 * ss));
-  const int32_t b0 = spec.bound0;
-  const int32_t bstep = spec.bound_step;
-  __m256i vcol = _mm256_setr_epi32(b0, b0 + bstep, b0 + 2 * bstep,
-                                   b0 + 3 * bstep, b0 + 4 * bstep,
-                                   b0 + 5 * bstep, b0 + 6 * bstep,
-                                   b0 + 7 * bstep);
-  const __m256i vcol_step = _mm256_set1_epi32(8 * bstep);
-
-  __m256i vcarry = _mm256_set1_epi16(BiasGbInit(spec.gb_init));
-  int32_t gb_last = kNegInf, mu_last = kNegInf;
-  int64_t k = 0;
-  for (; k + 16 <= spec.len; k += 16) {
-    __m256i clip = _mm256_setzero_si256();
-    __m256i pm = Load16AsI16(spec.prev_m + k, vninf32, &clip);
-    __m256i pg = Load16AsI16(spec.prev_ga + k, vninf32, &clip);
-    __m256i dm = Load16AsI16(spec.prev_diag_m + k, vninf32, &clip);
-    __m256i dl = Load16AsI16(spec.delta + k, vninf32, &clip);
-
-    // Ga: downward saturation onto the sentinel is only legitimate when
-    // both inputs were already sentinels; a real chain reaching -32768
-    // would diverge from the int32 floor at kNegInf, so it clips.
-    __m256i ga = _mm256_max_epi16(_mm256_adds_epi16(pg, vss16),
-                                  _mm256_adds_epi16(pm, voe16));
-    __m256i ga_legit = _mm256_and_si256(_mm256_cmpeq_epi16(pg, vsent),
-                                        _mm256_cmpeq_epi16(pm, vsent));
-    clip = _mm256_or_si256(
-        clip, _mm256_andnot_si256(ga_legit, _mm256_cmpeq_epi16(ga, vsent)));
-
-    // Absorbing diagonal, with saturation (either direction) on a real
-    // prev_diag_m treated as a clip. Equality with the rails is flagged
-    // conservatively: a legitimate exact 32767 costs a spurious rerun,
-    // never a wrong result.
-    __m256i dm_dead = _mm256_cmpeq_epi16(dm, vsent);
-    __m256i dsum = _mm256_adds_epi16(dm, dl);
-    clip = _mm256_or_si256(
-        clip, _mm256_andnot_si256(
-                  dm_dead, _mm256_or_si256(_mm256_cmpeq_epi16(dsum, vsent),
-                                           _mm256_cmpeq_epi16(dsum, vmax16))));
-    __m256i diag = _mm256_blendv_epi8(dsum, vsent, dm_dead);
-    __m256i tmp = _mm256_max_epi16(diag, ga);
-
-    // The same biased-unsigned Gb scan as the int32 kernel, in 16-bit
-    // lanes. A sentinel tmp must contribute the scan identity (biased 0)
-    // explicitly — its saturated w would otherwise sit above real
-    // deep-negative w values instead of far below them.
-    __m256i tmp_sent = _mm256_cmpeq_epi16(tmp, vsent);
-    __m256i w = _mm256_adds_epi16(tmp, vwoff16);
-    clip = _mm256_or_si256(
-        clip, _mm256_andnot_si256(
-                  tmp_sent, _mm256_or_si256(_mm256_cmpeq_epi16(w, vsent),
-                                            _mm256_cmpeq_epi16(w, vmax16))));
-    __m256i wb = _mm256_andnot_si256(tmp_sent, _mm256_xor_si256(w, vsent));
-    __m256i x = _mm256_max_epu16(wb, _mm256_slli_si256(wb, 2));
-    x = _mm256_max_epu16(x, _mm256_slli_si256(x, 4));
-    x = _mm256_max_epu16(x, _mm256_slli_si256(x, 8));  // in-lane inclusive
-    // Broadcast each 128-bit half's total (word 7) across the half, then
-    // the same cross-lane fixup shape as the int32 scan.
-    __m256i c =
-        _mm256_shuffle_epi32(_mm256_shufflehi_epi16(x, 0xFF), 0xFF);
-    __m256i t = _mm256_permute2x128_si256(c, c, 0x08);
-    __m256i xf = _mm256_max_epu16(x, t);
-    __m256i excl = _mm256_max_epu16(_mm256_slli_si256(xf, 2), t);
-    excl = _mm256_max_epu16(excl, vcarry);
-    __m256i gb = _mm256_adds_epi16(_mm256_xor_si256(excl, vsent), vkss16);
-    // Downward saturation of the unbiased chain is the contract's floor
-    // when the chain is all-sentinel (excl == biased 0); from a real chain
-    // it means the int32 value lies below -32768 but above kNegInf: clip.
-    clip = _mm256_or_si256(
-        clip, _mm256_andnot_si256(
-                  _mm256_cmpeq_epi16(excl, _mm256_setzero_si256()),
-                  _mm256_cmpeq_epi16(gb, vsent)));
-    vcarry = _mm256_max_epu16(
-        vcarry,
-        _mm256_max_epu16(c, _mm256_permute2x128_si256(c, c, 0x01)));
-    __m256i mu = _mm256_max_epi16(tmp, gb);
-
-    if (!_mm256_testz_si256(clip, clip)) {
-      // Unrepresentable value somewhere in this block: the whole row
-      // reruns in int32. Partial stores from earlier blocks are fully
-      // overwritten; stats restart clean.
-      *stats = RowStats{};
-      RowAvx2(spec, stats);
-      return;
-    }
-
-    int mask16 = 0;
-    __m256i gb32_hi = _mm256_setzero_si256(), mu32_hi = _mm256_setzero_si256();
-    for (int half = 0; half < 2; ++half) {
-      __m256i mu32 = UnpackHalfI32(mu, half, vninf32);
-      __m256i ga32 = UnpackHalfI32(ga, half, vninf32);
-      __m256i bound = _mm256_max_epi32(vbase, vcol);
-      __m256i alive = _mm256_cmpgt_epi32(mu32, bound);
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(spec.out_m + k + 8 * half),
-          _mm256_blendv_epi8(vninf32, mu32, alive));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(spec.out_ga + k + 8 * half), ga32);
-      __m256i gb32 = UnpackHalfI32(gb, half, vninf32);
-      if (spec.out_gb != nullptr) {
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(spec.out_gb + k + 8 * half), gb32);
-      }
-      mask16 |= _mm256_movemask_ps(_mm256_castsi256_ps(alive)) << (8 * half);
-      vcol = _mm256_add_epi32(vcol, vcol_step);
-      if (half == 1) {
-        gb32_hi = gb32;
-        mu32_hi = mu32;
-      }
-    }
-    if (mask16 != 0) {
-      if (stats->first_alive < 0) {
-        stats->first_alive = k + __builtin_ctz(static_cast<unsigned>(mask16));
-      }
-      stats->last_alive =
-          k + 31 - __builtin_clz(static_cast<unsigned>(mask16));
-    }
-    gb_last = Lane7(gb32_hi);
-    mu_last = Lane7(mu32_hi);
-
-    vkss16 = _mm256_add_epi16(vkss16, vkss_step);
-    vwoff16 = _mm256_sub_epi16(vwoff16, vkss_step);
-  }
-  if (k > 0) {
-    stats->gb_last = gb_last;
-    stats->mu_last = mu_last;
-  }
-  internal::RowScalarTail(spec, k, gb_last, mu_last, stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -469,8 +303,8 @@ void RowPairAvx2I16(const RowSpec& a, const RowSpec& b, RowStats* sa,
       _mm_set1_epi16(BiasGbInit(b.gb_init)),
       _mm_set1_epi16(BiasGbInit(a.gb_init)));
 
-  // Identical recurrence to the full-row int16 kernel, minus the cross-lane
-  // scan fixup and the block loop.
+  // The int32 kernel's recurrence in int16 lanes. Each row fits one
+  // 128-bit lane, so the Gb scan needs no cross-lane fixup.
   __m256i clip16 = _mm256_setzero_si256();
   __m256i ga = _mm256_max_epi16(_mm256_adds_epi16(pg, vss16),
                                 _mm256_adds_epi16(pm, voe16));
@@ -558,7 +392,6 @@ void RowPairAvx2I16(const RowSpec& a, const RowSpec& b, RowStats* sa,
 
 namespace internal {
 RowKernelFn Avx2Kernel() { return &RowAvx2; }
-RowKernelFn Avx2I16Kernel() { return &RowAvx2I16; }
 PairKernelFn Avx2I16PairKernel() { return &RowPairAvx2I16; }
 }  // namespace internal
 
@@ -571,7 +404,6 @@ namespace alae {
 namespace simd {
 namespace internal {
 RowKernelFn Avx2Kernel() { return nullptr; }
-RowKernelFn Avx2I16Kernel() { return nullptr; }
 PairKernelFn Avx2I16PairKernel() { return nullptr; }
 }  // namespace internal
 }  // namespace simd

@@ -27,10 +27,10 @@ struct QueryOutcome {
   bool ok() const { return status.ok(); }
 };
 
-// Backend-agnostic parallel multi-query driver: the generalisation of the
-// old ALAE-only BatchRunner. The paper's workloads run 100 queries per text
-// (§7) and queries against one shared immutable index are embarrassingly
-// parallel, for every backend — Aligner::Search is const and thread-safe.
+// Backend-agnostic parallel multi-query driver. The paper's workloads run
+// 100 queries per text (§7) and queries against one shared immutable index
+// are embarrassingly parallel, for every backend — Aligner::Search is const
+// and thread-safe.
 //
 // Requests are validated (and the backend's shared state warmed via
 // Prepare) before any worker starts, so a malformed request fails the whole

@@ -20,24 +20,24 @@
 namespace alae {
 namespace {
 
-constexpr uint64_t kFmMagicV2 = 0x414C414546324D00ULL;  // "ALAEF2M\0"
 constexpr uint64_t kFmMagicV3 = 0x414C414546334D00ULL;  // "ALAEF3M\0"
 
-// Header `packing` value marking a wavelet-mode payload. Flat-mode files
-// store 0/1/2 (2-bit/4-bit/byte) there, which is fully determined by
-// sigma, so this out-of-band value is unambiguous. Two-levelness is a
-// separate header word (v3 only), not a packing value: the packed-symbol
-// width is still sigma's choice, only the checkpoint scheme changes.
-constexpr uint64_t kWaveletModeMarker = 3;
-
+// Header `packing` word: the packed-symbol width, 0/1/2 for 2-bit/4-bit/
+// byte. It is fully determined by sigma and checked against it on load.
 constexpr uint64_t PackingForSigma(int sigma) {
   return sigma <= 4 ? 0 : sigma <= 15 ? 1 : 2;
 }
 
-// v3 layout-flags word: bit 0 = two-level checkpoints. All other bits must
-// be zero (reserved; rejecting them keeps future format growth detectable
-// rather than silently misread).
+// Header layout-flags word: bit 0 = two-level checkpoints. Sigma fixes the
+// layout, so a valid file stores exactly LayoutFlagsForSigma(sigma); any
+// other value (a single-level sigma > 4 layout, reserved bits) is rejected.
 constexpr uint64_t kLayoutTwoLevel = 1;
+
+constexpr uint64_t LayoutFlagsForSigma(int sigma) {
+  return FmLayoutGeometry(FmLayoutForSigma(sigma)).two_level
+             ? kLayoutTwoLevel
+             : 0;
+}
 
 inline SaRange FlatExtend(const FmFlatView& v, const SaRange& range,
                           Symbol c) {
@@ -50,21 +50,13 @@ inline SaRange FlatExtend(const FmFlatView& v, const SaRange& range,
 }  // namespace
 
 void FmIndex::InitOccGeometry() {
-  if (sigma_ <= 4) {
-    // 2-bit codes are shifted-1; the sentinel row is stored out of band and
-    // its slot holds placeholder code 0. 2 cp words + 6 data words = one
-    // 64-byte cache line covering 192 symbols — already optimal, so the
-    // two-level scheme never applies here.
-    two_level_ = false;
-    layout_ = FmOccLayout::k2Bit;
-    cp_count_ = 4;
-  } else if (sigma_ <= 15) {
-    layout_ = two_level_ ? FmOccLayout::k4BitTwoLevel : FmOccLayout::k4Bit;
-    cp_count_ = sigma_ + 1;
-  } else {
-    layout_ = two_level_ ? FmOccLayout::kByteTwoLevel : FmOccLayout::kByte;
-    cp_count_ = sigma_ + 1;
-  }
+  // 2-bit codes are shifted-1; the sentinel row is stored out of band and
+  // its slot holds placeholder code 0. 2 cp words + 6 data words = one
+  // 64-byte cache line covering 192 symbols — already optimal, so the
+  // two-level scheme never applies there. Larger alphabets keep the
+  // sentinel in band as code 0.
+  layout_ = FmLayoutForSigma(sigma_);
+  cp_count_ = layout_ == FmOccLayout::k2Bit ? 4 : sigma_ + 1;
   const FmOccGeometry g = FmLayoutGeometry(layout_);
   syms_per_block_ = g.spb;
   data_words_ = g.data_words;
@@ -79,7 +71,7 @@ void FmIndex::BuildFlatOcc(const std::vector<Symbol>& bwt) {
   const int64_t blocks = rows / syms_per_block_ + 1;
   occ_data_.assign(static_cast<size_t>(blocks * block_words_), 0);
   occ_abs_.clear();
-  if (two_level_) {
+  if (two_level()) {
     const int64_t supers = ((blocks - 1) >> super_shift_) + 1;
     occ_abs_.assign(static_cast<size_t>(supers * cp_count_), 0);
   }
@@ -88,7 +80,7 @@ void FmIndex::BuildFlatOcc(const std::vector<Symbol>& bwt) {
   sentinel_row_ = -1;
 
   auto write_checkpoints = [&](int64_t block) {
-    if (two_level_) {
+    if (two_level()) {
       // A block starting a superblock also snapshots the running counts
       // into its absolute row; every block then stores the u8 distance to
       // that row. The geometry bounds the distance at (2^shift - 1) * spb
@@ -146,8 +138,6 @@ void FmIndex::BuildFlatOcc(const std::vector<Symbol>& bwt) {
 FmIndex::FmIndex(const Sequence& text, FmIndexOptions options)
     : n_(text.size()),
       sigma_(text.sigma()),
-      use_wavelet_(options.use_wavelet),
-      two_level_(options.two_level_occ),
       sample_rate_(options.sa_sample_rate) {
   std::vector<int64_t> sa = BuildSuffixArray(text.symbols(), sigma_);
   BwtResult bwt = BuildBwt(text.symbols(), sa);
@@ -158,12 +148,7 @@ FmIndex::FmIndex(const Sequence& text, FmIndexOptions options)
   for (size_t s = 1; s < c_.size(); ++s) c_[s] += c_[s - 1];
 
   int64_t rows = static_cast<int64_t>(bwt.bwt.size());
-  if (use_wavelet_) {
-    two_level_ = false;
-    wavelet_ = WaveletTree(bwt.bwt, sigma_ + 1);
-  } else {
-    BuildFlatOcc(bwt.bwt);
-  }
+  BuildFlatOcc(bwt.bwt);
 
   // Sampled SA: mark rows whose suffix start is a multiple of the rate
   // (plus the sentinel row so every LF walk terminates).
@@ -185,7 +170,6 @@ FmIndex::FmIndex(const Sequence& text, FmIndexOptions options)
 }
 
 Symbol FmIndex::AccessBwt(int64_t row) const {
-  if (use_wavelet_) return wavelet_.Access(static_cast<size_t>(row));
   const FmFlatView v = View();
   if (const FmRankOps* native = SelectedNativeRankOps()) {
     return native->access(v, row);
@@ -194,10 +178,6 @@ Symbol FmIndex::AccessBwt(int64_t row) const {
 }
 
 int64_t FmIndex::Occ(Symbol shifted, int64_t row) const {
-  if (use_wavelet_) {
-    return static_cast<int64_t>(
-        wavelet_.Rank(shifted, static_cast<size_t>(row)));
-  }
   const FmFlatView v = View();
   if (const FmRankOps* native = SelectedNativeRankOps()) {
     return native->occ(v, shifted, row);
@@ -207,23 +187,12 @@ int64_t FmIndex::Occ(Symbol shifted, int64_t row) const {
 
 SaRange FmIndex::Extend(const SaRange& range, Symbol c) const {
   if (range.Empty()) return {0, 0};
-  if (use_wavelet_) {
-    const Symbol shifted = static_cast<Symbol>(c + 1);
-    const int64_t base = c_[shifted];
-    return {base + Occ(shifted, range.lo), base + Occ(shifted, range.hi)};
-  }
   return FlatExtend(View(), range, c);
 }
 
 void FmIndex::ExtendAll(const SaRange& range, SaRange* out) const {
   if (range.Empty()) {
     for (int c = 0; c < sigma_; ++c) out[c] = {0, 0};
-    return;
-  }
-  if (use_wavelet_) {
-    for (int c = 0; c < sigma_; ++c) {
-      out[c] = Extend(range, static_cast<Symbol>(c));
-    }
     return;
   }
   const FmFlatView v = View();
@@ -236,10 +205,6 @@ void FmIndex::ExtendAll(const SaRange& range, SaRange* out) const {
 
 void FmIndex::ExtendBatch(const SaRange* in, const Symbol* cs, SaRange* out,
                           int count) const {
-  if (use_wavelet_) {
-    for (int i = 0; i < count; ++i) out[i] = Extend(in[i], cs[i]);
-    return;
-  }
   // One indirect call for the whole batch; the clone prefetches every
   // lane's boundary blocks before the first rank runs, then the per-item
   // extends are exactly the one-by-one results.
@@ -267,33 +232,20 @@ SaRange FmIndex::Find(const std::vector<Symbol>& pattern) const {
 bool FmIndex::ExtendSingleton(int64_t row, Symbol* c, SaRange* child) const {
   // Extend([row, row+1), BWT[row]-1): the lower boundary rank; the upper
   // is lower + 1 because BWT[row] is itself an occurrence of the symbol.
-  // Flat modes fuse the symbol extraction with its rank (one block visit).
-  if (!use_wavelet_) {
-    const FmFlatView v = View();
-    if (const FmRankOps* native = SelectedNativeRankOps()) {
-      return native->extend_singleton(v, row, c, child);
-    }
-    return fm_rank_portable::ExtendSingleton(v, row, c, child);
+  // The clones fuse the symbol extraction with its rank (one block visit).
+  const FmFlatView v = View();
+  if (const FmRankOps* native = SelectedNativeRankOps()) {
+    return native->extend_singleton(v, row, c, child);
   }
-  const Symbol shifted = AccessBwt(row);
-  if (shifted == 0) return false;  // sentinel: nothing precedes this suffix
-  const int64_t lf = c_[shifted] + Occ(shifted, row);
-  *c = static_cast<Symbol>(shifted - 1);
-  *child = {lf, lf + 1};
-  return true;
+  return fm_rank_portable::ExtendSingleton(v, row, c, child);
 }
 
 int64_t FmIndex::LocateRowSteps(int64_t row, uint64_t* steps) const {
   int64_t walked = 0;
   const FmFlatView v = View();
-  const FmRankOps* native = use_wavelet_ ? nullptr : SelectedNativeRankOps();
+  const FmRankOps* native = SelectedNativeRankOps();
   while (!sampled_rows_.Get(static_cast<size_t>(row))) {
-    if (use_wavelet_) {
-      const Symbol s = AccessBwt(row);
-      row = c_[s] + Occ(s, row);
-    } else {
-      row = native ? native->lf_step(v, row) : fm_rank_portable::LfStep(v, row);
-    }
+    row = native ? native->lf_step(v, row) : fm_rank_portable::LfStep(v, row);
     // A valid walk visits distinct rows until it hits a mark, so it can
     // never exceed the row count; corrupted marks must not hang us.
     if (++walked > static_cast<int64_t>(n_) + 1) return 0;
@@ -312,19 +264,9 @@ std::vector<int64_t> FmIndex::Locate(const SaRange& range,
   if (range.Empty()) return {};
   CancelScan scan(cancel);
   std::vector<int64_t> out(static_cast<size_t>(range.Count()));
-  if (use_wavelet_) {
-    // Wavelet ranks bounce through log(sigma) small bitvectors; there is no
-    // single block to prefetch, so the serial walk stays.
-    for (int64_t r = range.lo; r < range.hi; ++r) {
-      out[static_cast<size_t>(r - range.lo)] = LocateRowSteps(r, lf_steps);
-      if (scan.Tick(sample_rate_)) return {};
-    }
-    return out;
-  }
-
-  // Flat mode: interleave up to four independent LF walks. Each step of a
-  // walk is one dependent cache miss (the occ block of its current row), so
-  // a hit-dense locate is latency-bound; issuing the next rows' block
+  // Interleave up to four independent LF walks. Each step of a walk is one
+  // dependent cache miss (the occ block of its current row), so a
+  // hit-dense locate is latency-bound; issuing the next rows' block
   // prefetches before stepping lets the misses overlap instead of
   // serialising. Outputs land in their range slot, so the result is
   // identical to the row-by-row walk, as is the total step count.
@@ -392,19 +334,12 @@ bool FmIndex::Save(std::ostream& out) const {
   if (!PutU64(out, n_)) return false;
   if (!PutU64(out, static_cast<uint64_t>(sigma_))) return false;
   if (!PutU64(out, static_cast<uint64_t>(sample_rate_))) return false;
-  if (!PutU64(out, use_wavelet_ ? kWaveletModeMarker
-                                : PackingForSigma(sigma_))) {
-    return false;
-  }
+  if (!PutU64(out, PackingForSigma(sigma_))) return false;
   if (!PutU64(out, static_cast<uint64_t>(sentinel_row_))) return false;
-  if (!PutU64(out, two_level_ ? kLayoutTwoLevel : 0)) return false;
+  if (!PutU64(out, LayoutFlagsForSigma(sigma_))) return false;
   if (!PutVec(out, c_)) return false;
-  if (use_wavelet_) {
-    if (!wavelet_.SaveTo(out)) return false;
-  } else {
-    if (!PutVec(out, occ_data_)) return false;
-    if (two_level_ && !PutVec(out, occ_abs_)) return false;
-  }
+  if (!PutVec(out, occ_data_)) return false;
+  if (two_level() && !PutVec(out, occ_abs_)) return false;
   // Sampled SA: raw mark words + sample values; rank structures rebuild.
   if (!PutU64(out, sampled_rows_.size())) return false;
   if (!PutVec(out, sampled_rows_.RawWords())) return false;
@@ -422,19 +357,17 @@ bool FmIndex::Load(std::istream& in) {
 }
 
 bool FmIndex::LoadImpl(std::istream& in) {
-  uint64_t magic = 0, n = 0, sigma = 0, rate = 0, packing = 0, sentinel = 0;
+  uint64_t magic = 0, n = 0, sigma = 0, rate = 0, packing = 0, sentinel = 0,
+           layout_flags = 0;
   if (!GetU64(in, &magic)) return false;
-  // v3 adds a layout-flags header word and (for two-level layouts) the
-  // absolute-row table; v2 payloads are the single-level format and still
-  // load bit-exact. Anything else — including the retired v1 — is rejected.
-  if (magic != kFmMagicV2 && magic != kFmMagicV3) return false;
+  // Only v3 loads; the retired v1 (byte BWT) and v2 (single-level sigma > 4
+  // checkpoints) formats are rejected.
+  if (magic != kFmMagicV3) return false;
   if (!GetU64(in, &n) || !GetU64(in, &sigma) || !GetU64(in, &rate) ||
-      !GetU64(in, &packing) || !GetU64(in, &sentinel)) {
+      !GetU64(in, &packing) || !GetU64(in, &sentinel) ||
+      !GetU64(in, &layout_flags)) {
     return false;
   }
-  uint64_t layout_flags = 0;
-  if (magic == kFmMagicV3 && !GetU64(in, &layout_flags)) return false;
-  if ((layout_flags & ~kLayoutTwoLevel) != 0) return false;  // reserved bits
   // Header sanity: the checkpoints are u32, so rows must fit in 32 bits.
   if (sigma < 1 || sigma > 254) return false;
   if (n > 0xFFFFFFFEULL) return false;
@@ -442,20 +375,17 @@ bool FmIndex::LoadImpl(std::istream& in) {
   n_ = n;
   sigma_ = static_cast<int>(sigma);
   sample_rate_ = static_cast<int>(rate);
-  use_wavelet_ = packing == kWaveletModeMarker;
-  two_level_ = (layout_flags & kLayoutTwoLevel) != 0;
-  // The two-level flag only applies to flat sigma > 4 layouts.
-  if (two_level_ && (use_wavelet_ || sigma_ <= 4)) return false;
+  // Packing and layout flags must be exactly what sigma dictates; anything
+  // else means corruption or a layout this build no longer has.
+  if (packing != PackingForSigma(sigma_)) return false;
+  if (layout_flags != LayoutFlagsForSigma(sigma_)) return false;
   InitOccGeometry();
   const int64_t rows = static_cast<int64_t>(n_) + 1;
-  // Flat payloads must store the packing sigma dictates; anything else
-  // (except the wavelet marker) means corruption.
-  if (!use_wavelet_ && packing != PackingForSigma(sigma_)) return false;
   sentinel_row_ = static_cast<int64_t>(sentinel);
-  if (!use_wavelet_ && layout_ == FmOccLayout::k2Bit) {
+  if (layout_ == FmOccLayout::k2Bit) {
     if (sentinel_row_ < 0 || sentinel_row_ >= rows) return false;
   } else if (sentinel_row_ != -1) {
-    // Wavelet and sigma > 4 modes store the sentinel in-band, never here.
+    // Sigma > 4 layouts store the sentinel in-band, never here.
     return false;
   }
   if (!GetVec(in, &c_)) return false;
@@ -464,22 +394,13 @@ bool FmIndex::LoadImpl(std::istream& in) {
   for (size_t s = 1; s < c_.size(); ++s) {
     if (c_[s] < c_[s - 1]) return false;
   }
-  if (use_wavelet_) {
-    // The wavelet loader re-derives the tree shape from (rows, sigma+1)
-    // and rejects structural mismatches; the per-symbol total cross-check
-    // against the C table below covers the bit contents.
-    if (!wavelet_.LoadFrom(in, static_cast<size_t>(rows), sigma_ + 1)) {
-      return false;
-    }
-    return LoadSamplesAndCrossCheck(in);
-  }
   if (!GetVec(in, &occ_data_)) return false;
   const int64_t blocks = rows / syms_per_block_ + 1;
   if (occ_data_.size() != static_cast<size_t>(blocks * block_words_)) {
     return false;
   }
   occ_abs_.clear();
-  if (two_level_) {
+  if (two_level()) {
     if (!GetVec(in, &occ_abs_)) return false;
     const int64_t supers = ((blocks - 1) >> super_shift_) + 1;
     if (occ_abs_.size() != static_cast<size_t>(supers * cp_count_)) {
@@ -502,7 +423,7 @@ bool FmIndex::ValidateFlatOcc() const {
   std::vector<int64_t> running(static_cast<size_t>(cp_count_), 0);
   std::vector<int64_t> super_base(static_cast<size_t>(cp_count_), 0);
   for (int64_t b = 0; b < blocks; ++b) {
-    if (two_level_) {
+    if (two_level()) {
       if ((b & ((int64_t{1} << super_shift_) - 1)) == 0) {
         const int64_t super = b >> super_shift_;
         for (int32_t code = 0; code < cp_count_; ++code) {
@@ -560,8 +481,7 @@ bool FmIndex::ValidateFlatOcc() const {
   return true;
 }
 
-// Shared tail of both occ-mode load paths: the sampled SA and the final
-// content cross-check.
+// Tail of the load path: the sampled SA and the final content cross-check.
 bool FmIndex::LoadSamplesAndCrossCheck(std::istream& in) {
   const int64_t rows = static_cast<int64_t>(n_) + 1;
   uint64_t mark_bits = 0;
@@ -578,8 +498,7 @@ bool FmIndex::LoadSamplesAndCrossCheck(std::istream& in) {
   for (int64_t sample : samples_) {
     if (sample < 0 || sample > static_cast<int64_t>(n_)) return false;
   }
-  // Cross-check: per-symbol occ totals must reproduce the C table (this
-  // runs through whichever occ structure was just loaded).
+  // Cross-check: per-symbol occ totals must reproduce the C table.
   for (int s = 0; s <= sigma_; ++s) {
     if (Occ(static_cast<Symbol>(s), rows) !=
         c_[static_cast<size_t>(s) + 1] - c_[static_cast<size_t>(s)]) {
@@ -591,12 +510,8 @@ bool FmIndex::LoadSamplesAndCrossCheck(std::istream& in) {
 
 FmIndex::Sizes FmIndex::SizeBytes() const {
   Sizes sz;
-  if (use_wavelet_) {
-    sz.bwt_bytes = wavelet_.SizeBytes();
-  } else {
-    sz.bwt_bytes = occ_data_.size() * sizeof(uint64_t) +
-                   occ_abs_.size() * sizeof(uint32_t);
-  }
+  sz.bwt_bytes = occ_data_.size() * sizeof(uint64_t) +
+                 occ_abs_.size() * sizeof(uint32_t);
   sz.sample_bytes =
       sampled_rows_.SizeBytes() + samples_.size() * sizeof(int64_t);
   return sz;

@@ -7,7 +7,6 @@
 
 #include "src/index/bitvector.h"
 #include "src/index/fm_rank.h"
-#include "src/index/wavelet_tree.h"
 #include "src/io/sequence.h"
 #include "src/util/cancel.h"
 
@@ -23,15 +22,6 @@ struct SaRange {
 };
 
 struct FmIndexOptions {
-  // Occ structure: packed checkpointed blocks (fast, popcount rank) or
-  // wavelet tree (the compressed-suffix-array flavour; O(log sigma) rank).
-  bool use_wavelet = false;
-  // Flat mode, sigma > 4: two-level checkpoints (u8 per-block deltas
-  // against sparse u32 absolute rows — see FmOccLayout in fm_rank.h). The
-  // default; off rebuilds the PR 2 single-level u32-checkpoint layout,
-  // kept for A/B benchmarking and because legacy files load into it.
-  // Ignored for sigma <= 4 (the DNA block is already one cache line).
-  bool two_level_occ = true;
   // Sampled-SA density: one sample per `sa_sample_rate` text positions.
   int sa_sample_rate = 32;
 };
@@ -51,13 +41,14 @@ struct FmIndexOptions {
 //   [ cp_words x u64 : checkpoint counts ][ data_words x u64 : packed BWT ]
 //
 // DNA blocks carry two u32 counts per checkpoint word and span exactly one
-// 64-byte cache line. For sigma > 4 the default is the *two-level* scheme:
-// the block header holds one u8 delta per code and the full-width counts
-// live in a sparse out-of-band table of u32 absolute rows (one row per
-// 2-4 blocks), which shrinks the protein block from 216 to 88 bytes and
-// halves the in-block scan. The rank entry points themselves are compiled
-// twice and dispatched by cpuid (portable SWAR vs native popcnt — see
-// fm_rank.h). See docs/ARCHITECTURE.md "Index internals & performance".
+// 64-byte cache line. For sigma > 4 the blocks are *two-level*: the block
+// header holds one u8 delta per code and the full-width counts live in a
+// sparse out-of-band table of u32 absolute rows (one row per 2-4 blocks),
+// which keeps the protein block at 88 bytes. Each alphabet size has
+// exactly one layout (FmLayoutForSigma). The rank entry points themselves
+// are compiled twice and dispatched by cpuid (portable SWAR vs native
+// popcnt — see fm_rank.h). See docs/ARCHITECTURE.md "Index internals &
+// performance".
 class FmIndex {
  public:
   FmIndex() = default;
@@ -100,25 +91,19 @@ class FmIndex {
                    int count) const;
 
   // Hints the cache that the occ block(s) covering `range`'s boundaries are
-  // about to be ranked. No-op for the wavelet mode (no single block to
-  // fetch). Used by the fused sharded walk to overlap the per-lane block
-  // misses across independent index lanes.
+  // about to be ranked. Used by the fused sharded walk to overlap the
+  // per-lane block misses across independent index lanes.
   void PrefetchRange(const SaRange& range) const {
     PrefetchRow(range.lo);
     PrefetchRow(range.hi);
   }
   void PrefetchRow(int64_t row) const {
-    if (occ_data_.empty()) return;  // wavelet mode
     // Per-layout constant divisors so the block math strength-reduces; a
     // runtime divide would eat a measurable slice of the latency this hides.
     const uint64_t* base = occ_data_.data();
     switch (layout_) {
       case FmOccLayout::k2Bit:
         __builtin_prefetch(base + row / 192 * block_words_);
-        break;
-      case FmOccLayout::k4Bit:
-      case FmOccLayout::kByte:
-        __builtin_prefetch(base + row / 128 * block_words_);
         break;
       case FmOccLayout::k4BitTwoLevel:
         __builtin_prefetch(base + row / 96 * block_words_);
@@ -133,26 +118,23 @@ class FmIndex {
   // dispatched rank-op choice are captured once instead of being rebuilt
   // per call, and every method is header-inline, so a walk issuing
   // millions of per-lane rank calls pays only the rank itself plus one
-  // predictable branch. Results are identical to the FmIndex wrappers in
-  // every mode. Borrows the index: valid only while the index outlives it
-  // unmodified (walks construct cursors per run, never cache them).
+  // predictable branch. Results are identical to the FmIndex wrappers.
+  // Borrows the index: valid only while the index outlives it unmodified
+  // (walks construct cursors per run, never cache them).
   class RankCursor {
    public:
     explicit RankCursor(const FmIndex& index)
         : index_(&index),
-          native_(index.use_wavelet_ ? nullptr : SelectedNativeRankOps()),
-          flat_(!index.use_wavelet_) {
-      if (flat_) view_ = index.View();
-    }
+          native_(SelectedNativeRankOps()),
+          view_(index.View()) {}
 
     SaRange Extend(const SaRange& range, Symbol c) const {
-      if (!flat_) return index_->Extend(range, c);
       if (range.Empty()) return {0, 0};
       if (native_ != nullptr) return native_->extend(view_, range, c);
       return fm_rank_portable::Extend(view_, range, c);
     }
     void ExtendAll(const SaRange& range, SaRange* out) const {
-      if (!flat_ || range.Empty()) {
+      if (range.Empty()) {
         index_->ExtendAll(range, out);
         return;
       }
@@ -166,7 +148,6 @@ class FmIndex {
       return index_->SampledPosition(row);
     }
     bool ExtendSingleton(int64_t row, Symbol* c, SaRange* child) const {
-      if (!flat_) return index_->ExtendSingleton(row, c, child);
       if (native_ != nullptr) {
         return native_->extend_singleton(view_, row, c, child);
       }
@@ -174,10 +155,6 @@ class FmIndex {
     }
     void ExtendBatch(const SaRange* in, const Symbol* cs, SaRange* out,
                      int count) const {
-      if (!flat_) {
-        index_->ExtendBatch(in, cs, out, count);
-        return;
-      }
       if (native_ != nullptr) {
         native_->extend_batch(view_, in, cs, out, count);
         return;
@@ -194,7 +171,6 @@ class FmIndex {
    private:
     const FmIndex* index_;
     const FmRankOps* native_;
-    bool flat_;
     FmFlatView view_;
   };
   RankCursor Cursor() const { return RankCursor(*this); }
@@ -233,27 +209,25 @@ class FmIndex {
   };
   Sizes SizeBytes() const;
 
-  // Serialisation (magic "ALAEF3M"; the pre-two-level "ALAEF2M" files
-  // still load, bit-exact, into the single-level layout). Both occ modes
-  // have an on-disk form: flat files carry the packed occ blocks (plus the
-  // absolute-row table in two-level layouts), wavelet files carry the
-  // wavelet tree's node records (an out-of-band `packing` marker
-  // distinguishes the two). Load validates every derived size and
-  // structural invariant (c table, occ blocks — checkpoints, deltas and
-  // absolute rows against running counts — or wavelet topology, SA marks
-  // and samples, per-symbol totals) before accepting the payload and
-  // returns false — never a partially-initialised index — on any mismatch,
-  // including files written by the retired byte-BWT "ALAEF1M" format.
+  // Serialisation (magic "ALAEF3M"): the packed occ blocks, plus the
+  // absolute-row table in two-level layouts. Load validates every derived
+  // size and structural invariant (c table, header packing and layout
+  // flags against sigma, occ blocks — checkpoints, deltas and absolute
+  // rows against running counts — SA marks and samples, per-symbol totals)
+  // before accepting the payload and returns false — never a
+  // partially-initialised index — on any mismatch, including files written
+  // by the retired v1 ("ALAEF1M") and v2 formats.
   bool Save(std::ostream& out) const;
   bool Load(std::istream& in);
 
  private:
-  // Sets the block geometry fields from sigma_ and two_level_.
+  // Sets the layout and block geometry fields from sigma_.
   void InitOccGeometry();
   void BuildFlatOcc(const std::vector<Symbol>& bwt);
   bool LoadImpl(std::istream& in);
   bool ValidateFlatOcc() const;
   bool LoadSamplesAndCrossCheck(std::istream& in);
+  bool two_level() const { return FmLayoutGeometry(layout_).two_level; }
 
   // Rank view over the flat representation (see fm_rank.h). Rebuilt per
   // call: pointer aliases into our vectors stay valid across moves only
@@ -279,26 +253,21 @@ class FmIndex {
 
   size_t n_ = 0;
   int sigma_ = 0;
-  bool use_wavelet_ = false;
-  bool two_level_ = false;
   int sample_rate_ = 32;
   std::vector<int64_t> c_;  // c_[s] = #symbols (shifted) < s in the BWT
 
-  // Flat-occ representation: interleaved checkpoint+data blocks, plus the
+  // Occ representation: interleaved checkpoint+data blocks, plus the
   // sparse absolute-row table in two-level layouts.
   FmOccLayout layout_ = FmOccLayout::k2Bit;
   int32_t syms_per_block_ = 0;
   int32_t data_words_ = 0;
   int32_t cp_count_ = 0;   // checkpointed codes per block
-  int32_t cp_words_ = 0;   // u32 pairs (single-level) or packed u8 deltas
+  int32_t cp_words_ = 0;   // u32 pairs (DNA) or packed u8 deltas
   int32_t block_words_ = 0;
   int32_t super_shift_ = 0;    // log2(blocks per absolute row)
   int64_t sentinel_row_ = -1;  // 2-bit mode: BWT row holding the sentinel
   std::vector<uint64_t> occ_data_;
   std::vector<uint32_t> occ_abs_;  // absolute rows, [super][code]
-
-  // Wavelet representation.
-  WaveletTree wavelet_;
 
   // Sampled SA: rows whose suffix position is a multiple of sample_rate_.
   RankBitVector sampled_rows_;

@@ -23,28 +23,26 @@ struct SaRange;
 // than the popcount saved.
 // ---------------------------------------------------------------------------
 
-// How the flat occ blocks lay out checkpoints and packed BWT symbols.
+// How the flat occ blocks lay out checkpoints and packed BWT symbols. Each
+// alphabet size has exactly one layout.
 //
-// Single-level layouts interleave full u32 checkpoint counts with the data
-// words (two counts per u64). Two-level layouts store one u8 *delta* per
-// code in the block header and push the full-width counts into a sparse
-// out-of-band table of u32 absolute rows, one row per 2^super_shift blocks:
+// DNA (sigma <= 4) interleaves full u32 checkpoint counts with the data
+// words (two counts per u64); its block is exactly one 64-byte cache line.
+// Larger alphabets use two-level checkpoints: one u8 *delta* per code in
+// the block header, with the full-width counts in a sparse out-of-band
+// table of u32 absolute rows, one row per 2^super_shift blocks:
 //
 //   rank(code, row) = abs[(block >> shift) * cp_count + code]
 //                   + u8_delta(block, code) + popcount(prefix of block)
 //
 // The u8 never overflows because a superblock spans at most 192 symbols of
 // delta before the next absolute row resets it (see geometry table below).
-// Shrinking the protein block header from 88 bytes of u32 counts to 24
-// bytes of u8 deltas both halves the in-block scan (64-symbol blocks) and
-// cuts the per-rank footprint; DNA keeps the single-level layout because
-// its block is already exactly one cache line.
+// Compared with u32 checkpoints in every block, this shrinks the protein
+// block header from 88 to 24 bytes and halves the in-block scan.
 enum class FmOccLayout : uint8_t {
   k2Bit = 0,          // sigma <= 4: 2 cp words + 6 data words = 64 B
-  k4Bit = 1,          // sigma <= 15: u32 checkpoints, 128 syms/block
-  kByte = 2,          // sigma > 15: u32 checkpoints, 128 syms/block
-  k4BitTwoLevel = 3,  // u8 deltas, 96 syms/block, absolutes every 2 blocks
-  kByteTwoLevel = 4,  // u8 deltas, 64 syms/block, absolutes every 4 blocks
+  k4BitTwoLevel = 1,  // sigma <= 15: u8 deltas, 96 syms/block, abs every 2
+  kByteTwoLevel = 2,  // sigma > 15: u8 deltas, 64 syms/block, abs every 4
 };
 
 struct FmOccGeometry {
@@ -60,16 +58,19 @@ constexpr FmOccGeometry FmLayoutGeometry(FmOccLayout layout) {
   switch (layout) {
     case FmOccLayout::k2Bit:
       return {2, 32, 192, 6, 0, false};
-    case FmOccLayout::k4Bit:
-      return {4, 16, 128, 8, 0, false};
-    case FmOccLayout::kByte:
-      return {8, 8, 128, 16, 0, false};
     case FmOccLayout::k4BitTwoLevel:
       return {4, 16, 96, 6, 1, true};  // max delta 1*96 = 96 < 256
     case FmOccLayout::kByteTwoLevel:
       return {8, 8, 64, 8, 2, true};  // max delta 3*64 = 192 < 256
   }
   return {0, 0, 0, 0, 0, false};
+}
+
+// The layout an alphabet of `sigma` codes is stored in.
+constexpr FmOccLayout FmLayoutForSigma(int sigma) {
+  return sigma <= 4    ? FmOccLayout::k2Bit
+         : sigma <= 15 ? FmOccLayout::k4BitTwoLevel
+                       : FmOccLayout::kByteTwoLevel;
 }
 
 // Checkpoint words per block for a layout: u32 pairs single-level, packed

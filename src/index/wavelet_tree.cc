@@ -1,9 +1,5 @@
 #include "src/index/wavelet_tree.h"
 
-#include <utility>
-
-#include "src/util/serialize.h"
-
 namespace alae {
 
 WaveletTree::WaveletTree(const std::vector<Symbol>& data, int sigma)
@@ -79,123 +75,6 @@ size_t WaveletTree::SizeBytes() const {
   size_t total = sizeof(*this);
   for (const auto& nd : nodes_) total += nd.bits.SizeBytes() + sizeof(Node);
   return total;
-}
-
-bool WaveletTree::SaveTo(std::ostream& out) const {
-  if (!PutU64(out, size_)) return false;
-  if (!PutU64(out, static_cast<uint64_t>(sigma_))) return false;
-  if (!PutU64(out, static_cast<uint64_t>(static_cast<int64_t>(root_)))) {
-    return false;
-  }
-  if (!PutU64(out, nodes_.size())) return false;
-  for (const Node& nd : nodes_) {
-    if (!PutU64(out, nd.lo) || !PutU64(out, nd.hi)) return false;
-    if (!PutU64(out, static_cast<uint64_t>(static_cast<int64_t>(nd.left))) ||
-        !PutU64(out, static_cast<uint64_t>(static_cast<int64_t>(nd.right)))) {
-      return false;
-    }
-    if (!PutU64(out, nd.bits.size())) return false;
-    if (!PutVec(out, nd.bits.RawWords())) return false;
-  }
-  return true;
-}
-
-bool WaveletTree::LoadFrom(std::istream& in, size_t expected_size,
-                           int expected_sigma) {
-  *this = WaveletTree();
-  uint64_t size = 0, sigma = 0, root = 0, count = 0;
-  if (!GetU64(in, &size) || !GetU64(in, &sigma) || !GetU64(in, &root) ||
-      !GetU64(in, &count)) {
-    return false;
-  }
-  if (size != expected_size) return false;
-  if (sigma != static_cast<uint64_t>(expected_sigma) || expected_sigma < 2) {
-    return false;
-  }
-  // A balanced partition of [0, sigma-1] has exactly sigma-1 internal
-  // nodes, and Build allocates the root first.
-  if (count != sigma - 1 || root != 0) return false;
-
-  struct Raw {
-    uint64_t lo, hi;
-    int64_t left, right;
-    uint64_t bits;
-    std::vector<uint64_t> words;
-  };
-  std::vector<Raw> raw(count);
-  for (Raw& r : raw) {
-    uint64_t left = 0, right = 0;
-    if (!GetU64(in, &r.lo) || !GetU64(in, &r.hi) || !GetU64(in, &left) ||
-        !GetU64(in, &right) || !GetU64(in, &r.bits)) {
-      return false;
-    }
-    r.left = static_cast<int64_t>(left);
-    r.right = static_cast<int64_t>(right);
-    if (!GetVec(in, &r.words)) return false;
-    // Bound bits before any word math: a node can never hold more bits
-    // than the sequence is long, and an unchecked huge value would wrap
-    // (bits + 63) / 64 around to 0 and then deref an empty words vector.
-    if (r.bits > size) return false;
-    if (r.words.size() != (r.bits + 63) / 64) return false;
-    // Trailing bits beyond the declared length must be clear: the rebuilt
-    // rank structure popcounts whole words, so set stragglers would skew
-    // every rank.
-    if ((r.bits & 63) != 0 &&
-        (r.words.back() >> (r.bits & 63)) != 0) {
-      return false;
-    }
-  }
-
-  // Re-derive the shape from (sigma, size) alone and demand the payload
-  // matches it exactly: stored symbol ranges, child links and bit counts
-  // are all functions of the split recursion, so any disagreement means
-  // corruption. The walk also guarantees the links form a tree (each node
-  // visited once, children strictly after parents as Build emits them).
-  std::vector<Node> nodes(count);
-  std::vector<bool> seen(count, false);
-  struct Want {
-    size_t idx;
-    uint64_t lo, hi, bits;
-  };
-  std::vector<Want> stack = {{0, 0, sigma - 1, size}};
-  while (!stack.empty()) {
-    Want w = stack.back();
-    stack.pop_back();
-    if (w.idx >= count || seen[w.idx]) return false;
-    seen[w.idx] = true;
-    const Raw& r = raw[w.idx];
-    if (r.lo != w.lo || r.hi != w.hi || r.bits != w.bits) return false;
-    Node& nd = nodes[w.idx];
-    nd.lo = static_cast<Symbol>(r.lo);
-    nd.hi = static_cast<Symbol>(r.hi);
-    // Safe to move: the shape walk visits each node exactly once.
-    nd.bits = RankBitVector(BitVector(r.bits, std::move(raw[w.idx].words)));
-    const uint64_t mid = w.lo + (w.hi - w.lo) / 2;
-    const uint64_t ones = nd.bits.ones();
-    if (mid > w.lo) {  // left range is internal
-      if (r.left <= static_cast<int64_t>(w.idx)) return false;
-      nd.left = static_cast<int>(r.left);
-      stack.push_back({static_cast<size_t>(r.left), w.lo, mid, w.bits - ones});
-    } else if (r.left != -1) {
-      return false;
-    }
-    if (w.hi > mid + 1) {  // right range is internal
-      if (r.right <= static_cast<int64_t>(w.idx)) return false;
-      nd.right = static_cast<int>(r.right);
-      stack.push_back({static_cast<size_t>(r.right), mid + 1, w.hi, ones});
-    } else if (r.right != -1) {
-      return false;
-    }
-  }
-  for (bool s : seen) {
-    if (!s) return false;  // orphaned node record
-  }
-
-  size_ = size;
-  sigma_ = expected_sigma;
-  root_ = 0;
-  nodes_ = std::move(nodes);
-  return true;
 }
 
 }  // namespace alae

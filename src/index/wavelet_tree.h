@@ -2,7 +2,6 @@
 #define ALAE_INDEX_WAVELET_TREE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "src/index/bitvector.h"
@@ -11,10 +10,10 @@
 namespace alae {
 
 // Balanced wavelet tree over a small alphabet with O(log sigma) access and
-// rank. This is the space-lean occ-structure option of the FM-index
-// ("compressed suffix array" in the paper's terminology): n*ceil(log2 sigma)
-// bits plus rank overhead, versus the flat checkpointed occ table that is
-// faster but larger. Fig 11 sizes both.
+// rank: the space-lean occ structure of the "compressed suffix array" in
+// the paper's terminology, n*ceil(log2 sigma) bits plus rank overhead. The
+// FM-index itself uses the faster flat checkpointed occ blocks; the tree
+// remains as the size reference Fig 11 compares them against.
 class WaveletTree {
  public:
   WaveletTree() = default;
@@ -31,20 +30,6 @@ class WaveletTree {
   size_t Rank(Symbol c, size_t i) const;
 
   size_t SizeBytes() const;
-
-  // On-disk form: header (size, sigma, root, node count) followed by one
-  // record per node (symbol range, child links, raw bit words). Rank
-  // structures are rebuilt on load, so the payload stays at ~1 bit per
-  // stored bit.
-  bool SaveTo(std::ostream& out) const;
-
-  // Loads and validates a tree saved by SaveTo. Beyond stream integrity the
-  // loader re-derives the whole shape — node count, per-node symbol ranges,
-  // child topology and every node's bit length (children must hold exactly
-  // the parent's Rank0/Rank1 totals) — and rejects any mismatch, so a
-  // corrupted payload cannot produce out-of-bounds Access/Rank walks later.
-  // On failure *this is left empty, never partially initialised.
-  bool LoadFrom(std::istream& in, size_t expected_size, int expected_sigma);
 
  private:
   struct Node {

@@ -485,7 +485,7 @@ api::Status LiveCorpus::Save(const std::string& dir) const {
     ok = ok &&
          PutU64(manifest, static_cast<uint64_t>(options_.base.shard_size));
     ok = ok && PutU64(manifest, static_cast<uint64_t>(options_.base.overlap));
-    ok = ok && PutU64(manifest, options_.base.index.use_wavelet ? 1 : 0);
+    ok = ok && PutU64(manifest, 0);  // retired wavelet-mode slot
     ok = ok && PutU64(manifest,
                       static_cast<uint64_t>(options_.base.index.sa_sample_rate));
     ok = ok && PutU64(manifest, static_cast<uint64_t>(alphabet_->kind()));
@@ -588,7 +588,10 @@ api::StatusOr<std::unique_ptr<LiveCorpus>> LiveCorpus::Load(
     return api::Status::InvalidArgument("unreadable corpus manifest in " +
                                         dir);
   }
-  if (kind > 1 || rate < 1 || rate > (1ULL << 30) || shard_size < 1 ||
+  // The wavelet slot is kept for format compatibility and must be 0: the
+  // wavelet occ mode no longer exists.
+  if (wavelet != 0 || kind > 1 || rate < 1 || rate > (1ULL << 30) ||
+      shard_size < 1 ||
       shard_size > (1ULL << 40) || overlap > shard_size ||
       num_base_shards < 1 || symbols.empty() ||
       symbols.size() >= (uint64_t{1} << 32) || base_text_size < 1 ||
@@ -737,7 +740,6 @@ api::StatusOr<std::unique_ptr<LiveCorpus>> LiveCorpus::Load(
   ShardedCorpusOptions base_options;
   base_options.shard_size = static_cast<int64_t>(shard_size);
   base_options.overlap = static_cast<int64_t>(overlap);
-  base_options.index.use_wavelet = wavelet != 0;
   base_options.index.sa_sample_rate = static_cast<int>(rate);
   const Alphabet& alphabet = Alphabet::Get(static_cast<AlphabetKind>(kind));
   Sequence text(std::move(symbols), alphabet);

@@ -160,7 +160,7 @@ api::Status ShardedCorpus::Save(const std::string& dir) const {
     ok = ok && PutU64(manifest, kManifestMagic);
     ok = ok && PutU64(manifest, static_cast<uint64_t>(options_.shard_size));
     ok = ok && PutU64(manifest, static_cast<uint64_t>(options_.overlap));
-    ok = ok && PutU64(manifest, options_.index.use_wavelet ? 1 : 0);
+    ok = ok && PutU64(manifest, 0);  // retired wavelet-mode slot
     ok = ok &&
          PutU64(manifest, static_cast<uint64_t>(options_.index.sa_sample_rate));
     ok = ok && PutU64(manifest,
@@ -217,7 +217,9 @@ api::StatusOr<std::unique_ptr<ShardedCorpus>> ShardedCorpus::Load(
   }
   // Bound every manifest integer before it feeds an allocation or signed
   // arithmetic: a corrupt field must reject cleanly, not OOM or overflow.
-  if (kind > 1 || rate < 1 || rate > (1ULL << 30)) {
+  // The wavelet slot is kept for format compatibility and must be 0: the
+  // wavelet occ mode no longer exists.
+  if (wavelet != 0 || kind > 1 || rate < 1 || rate > (1ULL << 30)) {
     return api::Status::InvalidArgument("corrupt corpus manifest in " + dir);
   }
   if (shard_size < 1 || shard_size > (1ULL << 40) ||
@@ -228,7 +230,6 @@ api::StatusOr<std::unique_ptr<ShardedCorpus>> ShardedCorpus::Load(
   ShardedCorpusOptions options;
   options.shard_size = static_cast<int64_t>(shard_size);
   options.overlap = static_cast<int64_t>(overlap);
-  options.index.use_wavelet = wavelet != 0;
   options.index.sa_sample_rate = static_cast<int>(rate);
   Sequence text(std::move(symbols),
                 Alphabet::Get(static_cast<AlphabetKind>(kind)));

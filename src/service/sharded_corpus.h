@@ -30,12 +30,12 @@ struct ShardedCorpusOptions {
   int64_t shard_size = 1 << 20;
   int64_t overlap = 4096;
 
-  // Per-shard FM-index construction options (packed flat or wavelet).
+  // Per-shard FM-index construction options.
   FmIndexOptions index;
 };
 
 // A long text split into fixed-size shards, each carrying its own
-// FM-index (built, or loaded from disk via the ALAEF2M format) and its own
+// FM-index (built, or loaded from disk via the ALAEF3M format) and its own
 // per-backend Aligner instances from the AlignerRegistry. This is the
 // LogBase shape: partition the store, keep per-partition indexes, serve
 // every partition through one front door.
@@ -75,11 +75,10 @@ class ShardedCorpus : public CorpusSource {
       Sequence text, ShardedCorpusOptions options = {},
       const CancelToken* cancel = nullptr);
 
-  // Persists the corpus as a directory: one `shard-NNNN.fm` ALAEF2M file
+  // Persists the corpus as a directory: one `shard-NNNN.fm` ALAEF3M file
   // per shard plus `corpus.manifest` (geometry + the full text, stored
   // once), staged and renamed into place last so an interrupted save of a
-  // fresh directory never leaves a manifest naming missing shards. Any
-  // index mode round-trips, including wavelet.
+  // fresh directory never leaves a manifest naming missing shards.
   api::Status Save(const std::string& dir) const;
 
   // Writes just the per-shard shard files into `dir` (which must exist):

@@ -1,10 +1,9 @@
 // Differential tests for the packed occ blocks: rank results are compared
 // against a naive counting oracle over the BWT for every (row, symbol) in
-// both checkpoint layouts (two-level u8-delta and legacy single-level u32),
-// ExtendAll against per-symbol Extend, and the "ALAEF3M" serialisation
-// against truncation at every byte offset plus targeted header and
-// occ-block corruption. Legacy "ALAEF2M" payloads must keep loading
-// bit-exact.
+// the DNA and two-level protein layouts, ExtendAll against per-symbol
+// Extend, and the "ALAEF3M" serialisation against truncation at every byte
+// offset plus targeted header and occ-block corruption. Payloads of the
+// retired "ALAEF1M" and "ALAEF2M" formats must be rejected.
 
 #include <gtest/gtest.h>
 
@@ -45,8 +44,8 @@ struct NaiveOcc {
 };
 
 // Texts whose row count (n+1) straddles the packed block boundaries: DNA
-// blocks cover 192 symbols, single-level 4-bit/byte blocks 128, two-level
-// blocks 96/64 with absolute rows every 192/256 symbols.
+// blocks cover 192 symbols, two-level blocks 96/64 with absolute rows every
+// 192/256 symbols.
 std::vector<int64_t> BoundaryLengths() {
   return {1, 63, 64, 96, 127, 128, 191, 192, 193, 255, 256, 383, 384, 419};
 }
@@ -54,25 +53,21 @@ std::vector<int64_t> BoundaryLengths() {
 TEST(FmIndexPacked, OccMatchesNaiveOracleForEveryRowAndSymbol) {
   SequenceGenerator gen(2024);
   for (const Alphabet* alphabet : {&Alphabet::Dna(), &Alphabet::Protein()}) {
-    for (bool two_level : {true, false}) {
-      FmIndexOptions options;
-      options.two_level_occ = two_level;
-      for (int64_t n : BoundaryLengths()) {
-        Sequence text = gen.Random(n, *alphabet);
-        FmIndex fm(text, options);
-        NaiveOcc oracle(text);
-        const int64_t rows = static_cast<int64_t>(n) + 1;
-        for (int64_t row = 1; row <= rows; ++row) {
-          for (int c = 0; c < text.sigma(); ++c) {
-            Symbol shifted = static_cast<Symbol>(c + 1);
-            SaRange got = fm.Extend({0, row}, static_cast<Symbol>(c));
-            ASSERT_EQ(got.lo, oracle.c[shifted])
-                << "sigma=" << text.sigma() << " two_level=" << two_level
-                << " n=" << n << " row=" << row << " c=" << c;
-            ASSERT_EQ(got.hi, oracle.c[shifted] + oracle.Occ(shifted, row))
-                << "sigma=" << text.sigma() << " two_level=" << two_level
-                << " n=" << n << " row=" << row << " c=" << c;
-          }
+    for (int64_t n : BoundaryLengths()) {
+      Sequence text = gen.Random(n, *alphabet);
+      FmIndex fm(text);
+      NaiveOcc oracle(text);
+      const int64_t rows = static_cast<int64_t>(n) + 1;
+      for (int64_t row = 1; row <= rows; ++row) {
+        for (int c = 0; c < text.sigma(); ++c) {
+          Symbol shifted = static_cast<Symbol>(c + 1);
+          SaRange got = fm.Extend({0, row}, static_cast<Symbol>(c));
+          ASSERT_EQ(got.lo, oracle.c[shifted])
+              << "sigma=" << text.sigma() << " n=" << n << " row=" << row
+              << " c=" << c;
+          ASSERT_EQ(got.hi, oracle.c[shifted] + oracle.Occ(shifted, row))
+              << "sigma=" << text.sigma() << " n=" << n << " row=" << row
+              << " c=" << c;
         }
       }
     }
@@ -82,41 +77,37 @@ TEST(FmIndexPacked, OccMatchesNaiveOracleForEveryRowAndSymbol) {
 TEST(FmIndexPacked, ExtendAllMatchesPerSymbolExtend) {
   SequenceGenerator gen(2025);
   for (const Alphabet* alphabet : {&Alphabet::Dna(), &Alphabet::Protein()}) {
-    for (bool use_wavelet : {false, true}) {
-      FmIndexOptions options;
-      options.use_wavelet = use_wavelet;
-      Sequence text = gen.Random(700, *alphabet);
-      FmIndex fm(text, options);
-      const int sigma = text.sigma();
-      std::vector<SaRange> batched(static_cast<size_t>(sigma));
-      auto check = [&](const SaRange& range) {
-        fm.ExtendAll(range, batched.data());
-        for (int c = 0; c < sigma; ++c) {
-          ASSERT_EQ(batched[static_cast<size_t>(c)],
-                    fm.Extend(range, static_cast<Symbol>(c)))
-              << "range [" << range.lo << "," << range.hi << ") c=" << c;
-        }
-      };
-      check(fm.FullRange());
-      check(SaRange{0, 0});  // empty
-      const int64_t rows = fm.FullRange().hi;
-      for (int trial = 0; trial < 300; ++trial) {
-        int64_t lo = static_cast<int64_t>(
-            gen.rng().Below(static_cast<uint64_t>(rows)));
-        int64_t hi = lo + 1 +
-                     static_cast<int64_t>(gen.rng().Below(
-                         static_cast<uint64_t>(rows - lo)));
-        check(SaRange{lo, hi});
+    Sequence text = gen.Random(700, *alphabet);
+    FmIndex fm(text);
+    const int sigma = text.sigma();
+    std::vector<SaRange> batched(static_cast<size_t>(sigma));
+    auto check = [&](const SaRange& range) {
+      fm.ExtendAll(range, batched.data());
+      for (int c = 0; c < sigma; ++c) {
+        ASSERT_EQ(batched[static_cast<size_t>(c)],
+                  fm.Extend(range, static_cast<Symbol>(c)))
+            << "range [" << range.lo << "," << range.hi << ") c=" << c;
       }
-      // Ranges reached by actual backward search (including singletons).
-      for (int trial = 0; trial < 50; ++trial) {
-        SaRange range = fm.FullRange();
-        while (!range.Empty()) {
-          check(range);
-          range = fm.Extend(
-              range, static_cast<Symbol>(gen.rng().Below(
-                         static_cast<uint64_t>(sigma))));
-        }
+    };
+    check(fm.FullRange());
+    check(SaRange{0, 0});  // empty
+    const int64_t rows = fm.FullRange().hi;
+    for (int trial = 0; trial < 300; ++trial) {
+      int64_t lo = static_cast<int64_t>(
+          gen.rng().Below(static_cast<uint64_t>(rows)));
+      int64_t hi = lo + 1 +
+                   static_cast<int64_t>(gen.rng().Below(
+                       static_cast<uint64_t>(rows - lo)));
+      check(SaRange{lo, hi});
+    }
+    // Ranges reached by actual backward search (including singletons).
+    for (int trial = 0; trial < 50; ++trial) {
+      SaRange range = fm.FullRange();
+      while (!range.Empty()) {
+        check(range);
+        range = fm.Extend(
+            range, static_cast<Symbol>(gen.rng().Below(
+                       static_cast<uint64_t>(sigma))));
       }
     }
   }
@@ -125,11 +116,8 @@ TEST(FmIndexPacked, ExtendAllMatchesPerSymbolExtend) {
 TEST(FmIndexPacked, SaveLoadRoundTripsNewFormat) {
   SequenceGenerator gen(2026);
   for (const Alphabet* alphabet : {&Alphabet::Dna(), &Alphabet::Protein()}) {
-   for (bool two_level : {true, false}) {
-    FmIndexOptions options;
-    options.two_level_occ = two_level;
     Sequence text = gen.Random(1500, *alphabet);
-    FmIndex original(text, options);
+    FmIndex original(text);
     std::stringstream ss;
     ASSERT_TRUE(original.Save(ss));
     FmIndex loaded;
@@ -150,7 +138,6 @@ TEST(FmIndexPacked, SaveLoadRoundTripsNewFormat) {
           range,
           static_cast<Symbol>(gen.rng().Below(static_cast<uint64_t>(sigma))));
     }
-   }
   }
 }
 
@@ -205,57 +192,38 @@ TEST(FmIndexPacked, OldFormatMagicIsRejected) {
   EXPECT_FALSE(loaded.Load(ss));
 }
 
-TEST(FmIndexPacked, LegacySingleLevelPayloadLoadsBitExact) {
+TEST(FmIndexPacked, LegacyV2PayloadIsRejected) {
   // Pre-two-level files ("ALAEF2M": no layout-flags word, no absolute-row
-  // table) must keep loading into the single-level layout and answer
-  // exactly like the index that wrote them. Synthesised here from a v3
-  // single-level save: swap the magic and drop the layout word — the rest
-  // of the v2 payload is byte-identical.
+  // table) belong to a retired format and must fail Load. Synthesised from
+  // a DNA v3 save: swap the magic and drop the layout word — the rest of a
+  // DNA v2 payload is byte-identical, so only the magic rejects it.
   constexpr uint64_t kV2Magic = 0x414C414546324D00ULL;
   SequenceGenerator gen(2033);
-  for (const Alphabet* alphabet : {&Alphabet::Dna(), &Alphabet::Protein()}) {
-    FmIndexOptions options;
-    options.two_level_occ = false;
-    Sequence text = gen.Random(900, *alphabet);
-    FmIndex original(text, options);
-    std::stringstream ss;
-    ASSERT_TRUE(original.Save(ss));
-    std::string v2 = ss.str();
-    for (int b = 0; b < 8; ++b) {
-      v2[static_cast<size_t>(b)] = static_cast<char>(kV2Magic >> (b * 8));
-    }
-    v2.erase(6 * 8, 8);  // layout-flags word is v3-only
-    std::stringstream legacy(v2);
-    FmIndex loaded;
-    ASSERT_TRUE(loaded.Load(legacy)) << "sigma=" << text.sigma();
-    EXPECT_EQ(loaded.text_size(), original.text_size());
-    const int sigma = text.sigma();
-    std::vector<SaRange> a(static_cast<size_t>(sigma));
-    std::vector<SaRange> b(static_cast<size_t>(sigma));
-    SaRange range = original.FullRange();
-    while (!range.Empty()) {
-      original.ExtendAll(range, a.data());
-      loaded.ExtendAll(range, b.data());
-      ASSERT_EQ(a, b);
-      ASSERT_EQ(original.Locate(range), loaded.Locate(range));
-      range = original.Extend(
-          range,
-          static_cast<Symbol>(gen.rng().Below(static_cast<uint64_t>(sigma))));
-    }
+  Sequence text = gen.Random(900, Alphabet::Dna());
+  FmIndex original(text);
+  std::stringstream ss;
+  ASSERT_TRUE(original.Save(ss));
+  std::string v2 = ss.str();
+  for (int b = 0; b < 8; ++b) {
+    v2[static_cast<size_t>(b)] = static_cast<char>(kV2Magic >> (b * 8));
   }
+  v2.erase(6 * 8, 8);  // layout-flags word is v3-only
+  std::stringstream legacy(v2);
+  FmIndex loaded;
+  EXPECT_FALSE(loaded.Load(legacy));
 }
 
 TEST(FmIndexPacked, CorruptedHeaderFieldsAreRejected) {
   SequenceGenerator gen(2029);
-  Sequence text = gen.Random(250, Alphabet::Dna());
-  FmIndex fm(text);
-  std::stringstream ss;
-  ASSERT_TRUE(fm.Save(ss));
-  const std::string payload = ss.str();
+  auto save = [](const Sequence& text) {
+    std::stringstream ss;
+    EXPECT_TRUE(FmIndex(text).Save(ss));
+    return ss.str();
+  };
+  const std::string payload = save(gen.Random(250, Alphabet::Dna()));
   // Header layout: magic, n, sigma, rate, packing, sentinel, layout flags —
   // 8 bytes each.
-  auto with_u64 = [&](size_t field, uint64_t value) {
-    std::string tampered = payload;
+  auto with_u64 = [](std::string tampered, size_t field, uint64_t value) {
     for (int b = 0; b < 8; ++b) {
       tampered[field * 8 + static_cast<size_t>(b)] =
           static_cast<char>(value >> (b * 8));
@@ -268,15 +236,22 @@ TEST(FmIndexPacked, CorruptedHeaderFieldsAreRejected) {
       {2, 20},          // sigma/packing mismatch (protein sigma, 2-bit data)
       {3, 0},           // zero sample rate
       {4, 2},           // packing byte for a DNA index
+      {4, 3},           // the retired wavelet-mode packing marker
       {5, 1ULL << 20},  // sentinel row out of range
       {6, 1},           // two-level flag on a sigma<=4 index
       {6, 2},           // reserved layout-flag bit
   };
   for (const auto& [field, value] : bad_values) {
-    std::stringstream bad(with_u64(field, value));
+    std::stringstream bad(with_u64(payload, field, value));
     FmIndex loaded;
     EXPECT_FALSE(loaded.Load(bad)) << "field " << field << " := " << value;
   }
+  // A protein payload without the two-level flag claims the retired
+  // single-level sigma > 4 layout.
+  std::stringstream single_level(
+      with_u64(save(gen.Random(250, Alphabet::Protein())), 6, 0));
+  FmIndex loaded;
+  EXPECT_FALSE(loaded.Load(single_level));
 }
 
 TEST(FmIndexPacked, CorruptedOccBlocksAreRejected) {
@@ -311,27 +286,6 @@ TEST(FmIndexPacked, CorruptedOccBlocksAreRejected) {
       EXPECT_FALSE(loaded.Load(bad))
           << "sigma=" << text.sigma() << " offset=" << offset;
     }
-  }
-}
-
-// Wavelet mode serialises too now (the sharded corpus persists any index
-// mode); a wavelet payload must round-trip and answer like the original.
-TEST(FmIndexPacked, WaveletModeSavesAndRoundTrips) {
-  SequenceGenerator gen(2030);
-  FmIndexOptions options;
-  options.use_wavelet = true;
-  Sequence text = gen.Random(400, Alphabet::Dna());
-  FmIndex fm(text, options);
-  std::stringstream ss;
-  ASSERT_TRUE(fm.Save(ss));
-  FmIndex loaded;
-  ASSERT_TRUE(loaded.Load(ss));
-  for (int p = 0; p < 10; ++p) {
-    int64_t at = static_cast<int64_t>(gen.rng().Below(text.size() - 5));
-    Sequence pat = text.Substr(static_cast<size_t>(at), 5);
-    SaRange a = fm.Find(pat.symbols());
-    ASSERT_EQ(a, loaded.Find(pat.symbols()));
-    EXPECT_EQ(fm.Locate(a), loaded.Locate(a));
   }
 }
 

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <string>
 
+#include "src/index/bwt.h"
+#include "src/index/suffix_array.h"
+#include "src/index/wavelet_tree.h"
 #include "src/sim/generator.h"
 
 namespace alae {
@@ -27,18 +30,14 @@ std::vector<int64_t> BruteFind(const Sequence& text, const Sequence& pat) {
   return out;
 }
 
-class FmIndexTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(FmIndexTest, FindAndLocateMatchBruteForce) {
+TEST(FmIndexTest, FindAndLocateMatchBruteForce) {
   SequenceGenerator gen(7);
-  FmIndexOptions options;
-  options.use_wavelet = GetParam();
   for (int trial = 0; trial < 12; ++trial) {
     int64_t n = 50 + static_cast<int64_t>(gen.rng().Below(400));
     const Alphabet& alphabet =
         trial % 2 ? Alphabet::Protein() : Alphabet::Dna();
     Sequence text = gen.Random(n, alphabet);
-    FmIndex fm(text, options);
+    FmIndex fm(text);
     for (int p = 0; p < 30; ++p) {
       int64_t plen = 1 + static_cast<int64_t>(gen.rng().Below(8));
       Sequence pat;
@@ -62,12 +61,10 @@ TEST_P(FmIndexTest, FindAndLocateMatchBruteForce) {
   }
 }
 
-TEST_P(FmIndexTest, ExtendBuildsPatternsBackwards) {
+TEST(FmIndexTest, ExtendBuildsPatternsBackwards) {
   // Extend(range, c) must compute the range of c·S from the range of S.
-  FmIndexOptions options;
-  options.use_wavelet = GetParam();
   Sequence text = Sequence::FromString("GCTAGCTAGGCTA", Alphabet::Dna());
-  FmIndex fm(text, options);
+  FmIndex fm(text);
   // Build "CTA" backwards: A, TA, CTA.
   SaRange r = fm.FullRange();
   Sequence a = Sequence::FromString("A", Alphabet::Dna());
@@ -81,20 +78,16 @@ TEST_P(FmIndexTest, ExtendBuildsPatternsBackwards) {
   EXPECT_EQ(r.Count(), static_cast<int64_t>(BruteFind(text, cta).size()));
 }
 
-TEST_P(FmIndexTest, FullRangeCountsAllSuffixes) {
-  FmIndexOptions options;
-  options.use_wavelet = GetParam();
+TEST(FmIndexTest, FullRangeCountsAllSuffixes) {
   SequenceGenerator gen(8);
   Sequence text = gen.Random(100, Alphabet::Dna());
-  FmIndex fm(text, options);
+  FmIndex fm(text);
   EXPECT_EQ(fm.FullRange().Count(), 101);
 }
 
-TEST_P(FmIndexTest, EmptyPatternAbsentPattern) {
-  FmIndexOptions options;
-  options.use_wavelet = GetParam();
+TEST(FmIndexTest, EmptyPatternAbsentPattern) {
   Sequence text = Sequence::FromString("AAAA", Alphabet::Dna());
-  FmIndex fm(text, options);
+  FmIndex fm(text);
   Sequence absent = Sequence::FromString("G", Alphabet::Dna());
   EXPECT_TRUE(fm.Find(absent.symbols()).Empty());
   // Extending an empty range stays empty.
@@ -102,12 +95,11 @@ TEST_P(FmIndexTest, EmptyPatternAbsentPattern) {
   EXPECT_TRUE(fm.Extend(empty, 0).Empty());
 }
 
-TEST_P(FmIndexTest, SampleRateVariationsLocateCorrectly) {
+TEST(FmIndexTest, SampleRateVariationsLocateCorrectly) {
   SequenceGenerator gen(9);
   Sequence text = gen.Random(300, Alphabet::Dna());
   for (int rate : {1, 4, 64}) {
     FmIndexOptions options;
-    options.use_wavelet = GetParam();
     options.sa_sample_rate = rate;
     FmIndex fm(text, options);
     Sequence pat = text.Substr(100, 5);
@@ -118,19 +110,17 @@ TEST_P(FmIndexTest, SampleRateVariationsLocateCorrectly) {
   }
 }
 
-// The batched Locate (up to four interleaved, prefetched LF walks in flat
-// mode) must stay bit-identical to the one-row-at-a-time walk: same
-// positions in the same slots, same total LF step count.
-TEST_P(FmIndexTest, LocateBatchedMatchesPerRowWalk) {
+// The batched Locate (up to four interleaved, prefetched LF walks) must
+// stay bit-identical to the one-row-at-a-time walk: same positions in the
+// same slots, same total LF step count.
+TEST(FmIndexTest, LocateBatchedMatchesPerRowWalk) {
   SequenceGenerator gen(11);
-  FmIndexOptions options;
-  options.use_wavelet = GetParam();
   for (int trial = 0; trial < 6; ++trial) {
     const Alphabet& alphabet =
         trial % 2 ? Alphabet::Protein() : Alphabet::Dna();
     int64_t n = 400 + static_cast<int64_t>(gen.rng().Below(3000));
     Sequence text = gen.Random(n, alphabet);
-    FmIndex fm(text, options);
+    FmIndex fm(text);
     for (int p = 0; p < 20; ++p) {
       // Short patterns give wide ranges (many more rows than the 4-lane
       // batch), longer ones exercise the 1..3-row tail.
@@ -159,27 +149,22 @@ TEST_P(FmIndexTest, LocateBatchedMatchesPerRowWalk) {
   }
 }
 
-TEST_P(FmIndexTest, SizesArePositiveAndPackedFlatIsSmallestForDna) {
+TEST(FmIndexTest, SizesArePositiveAndPackedFlatIsSmallestForDna) {
   SequenceGenerator gen(10);
   Sequence text = gen.Random(20000, Alphabet::Dna());
-  FmIndexOptions flat;
-  FmIndexOptions wave;
-  wave.use_wavelet = true;
-  FmIndex fm_flat(text, flat);
-  FmIndex fm_wave(text, wave);
-  EXPECT_GT(fm_flat.SizeBytes().Total(), 0u);
-  EXPECT_GT(fm_wave.SizeBytes().Total(), 0u);
+  FmIndex fm(text);
+  // The wavelet tree is sized over the same BWT the index is built from.
+  const BwtResult bwt = BuildBwt(
+      text.symbols(), BuildSuffixArray(text.symbols(), text.sigma()));
+  const WaveletTree wave(bwt.bwt, text.sigma() + 1);
+  EXPECT_GT(fm.SizeBytes().Total(), 0u);
+  EXPECT_GT(wave.SizeBytes(), 0u);
   // The packed occ blocks (2 bits/char + interleaved checkpoints, ~2.7
   // bits/char total) beat both a raw byte BWT and the wavelet occ (~3
   // bits/char plus rank overhead) for DNA.
-  EXPECT_LT(fm_flat.SizeBytes().bwt_bytes, text.size());
-  EXPECT_LT(fm_flat.SizeBytes().bwt_bytes, fm_wave.SizeBytes().bwt_bytes);
+  EXPECT_LT(fm.SizeBytes().bwt_bytes, text.size());
+  EXPECT_LT(fm.SizeBytes().bwt_bytes, wave.SizeBytes());
 }
-
-INSTANTIATE_TEST_SUITE_P(FlatAndWavelet, FmIndexTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Wavelet" : "Flat";
-                         });
 
 }  // namespace
 }  // namespace alae

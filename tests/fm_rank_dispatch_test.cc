@@ -46,61 +46,54 @@ TEST(FmRankDispatch, TiersAgreeOnEveryEntryPointAndLayout) {
   TierGuard guard;
   SequenceGenerator gen(7100);
   for (const Alphabet* alphabet : {&Alphabet::Dna(), &Alphabet::Protein()}) {
-    for (bool two_level : {true, false}) {
-      FmIndexOptions options;
-      options.two_level_occ = two_level;
-      Sequence text = gen.Random(2000, *alphabet);
-      FmIndex fm(text, options);
-      const int sigma = text.sigma();
-      const int64_t rows = fm.FullRange().hi;
+    Sequence text = gen.Random(2000, *alphabet);
+    FmIndex fm(text);
+    const int sigma = text.sigma();
+    const int64_t rows = fm.FullRange().hi;
 
-      // Random ranges plus real backward-search descents (which reach the
-      // singleton fast path), evaluated under both tiers.
-      std::vector<SaRange> ranges = {fm.FullRange(), {0, 0}, {0, 1}};
-      for (int trial = 0; trial < 200; ++trial) {
-        int64_t lo = static_cast<int64_t>(
-            gen.rng().Below(static_cast<uint64_t>(rows)));
-        int64_t hi = lo + static_cast<int64_t>(gen.rng().Below(
-                              static_cast<uint64_t>(rows - lo) + 1));
-        ranges.push_back({lo, hi});
-      }
-      SaRange walk = fm.FullRange();
-      while (!walk.Empty()) {
-        ranges.push_back(walk);
-        walk = fm.Extend(walk, static_cast<Symbol>(gen.rng().Below(
-                                   static_cast<uint64_t>(sigma))));
-      }
+    // Random ranges plus real backward-search descents (which reach the
+    // singleton fast path), evaluated under both tiers.
+    std::vector<SaRange> ranges = {fm.FullRange(), {0, 0}, {0, 1}};
+    for (int trial = 0; trial < 200; ++trial) {
+      int64_t lo = static_cast<int64_t>(
+          gen.rng().Below(static_cast<uint64_t>(rows)));
+      int64_t hi = lo + static_cast<int64_t>(gen.rng().Below(
+                            static_cast<uint64_t>(rows - lo) + 1));
+      ranges.push_back({lo, hi});
+    }
+    SaRange walk = fm.FullRange();
+    while (!walk.Empty()) {
+      ranges.push_back(walk);
+      walk = fm.Extend(walk, static_cast<Symbol>(gen.rng().Below(
+                                 static_cast<uint64_t>(sigma))));
+    }
 
-      std::vector<SaRange> all_a(static_cast<size_t>(sigma));
-      std::vector<SaRange> all_b(static_cast<size_t>(sigma));
-      for (const SaRange& r : ranges) {
-        ASSERT_TRUE(SetFmRankTier(FmRankTier::kPortable));
-        SaRange ext_a = fm.Extend(r, 0);
-        fm.ExtendAll(r, all_a.data());
-        std::vector<int64_t> loc_a = fm.Locate(r);
-        Symbol c_a = 0;
-        SaRange child_a;
-        bool single_a =
-            !r.Empty() && fm.ExtendSingleton(r.lo, &c_a, &child_a);
+    std::vector<SaRange> all_a(static_cast<size_t>(sigma));
+    std::vector<SaRange> all_b(static_cast<size_t>(sigma));
+    for (const SaRange& r : ranges) {
+      ASSERT_TRUE(SetFmRankTier(FmRankTier::kPortable));
+      SaRange ext_a = fm.Extend(r, 0);
+      fm.ExtendAll(r, all_a.data());
+      std::vector<int64_t> loc_a = fm.Locate(r);
+      Symbol c_a = 0;
+      SaRange child_a;
+      bool single_a = !r.Empty() && fm.ExtendSingleton(r.lo, &c_a, &child_a);
 
-        ASSERT_TRUE(SetFmRankTier(FmRankTier::kNativePopcnt));
-        SaRange ext_b = fm.Extend(r, 0);
-        fm.ExtendAll(r, all_b.data());
-        std::vector<int64_t> loc_b = fm.Locate(r);
-        Symbol c_b = 0;
-        SaRange child_b;
-        bool single_b =
-            !r.Empty() && fm.ExtendSingleton(r.lo, &c_b, &child_b);
+      ASSERT_TRUE(SetFmRankTier(FmRankTier::kNativePopcnt));
+      SaRange ext_b = fm.Extend(r, 0);
+      fm.ExtendAll(r, all_b.data());
+      std::vector<int64_t> loc_b = fm.Locate(r);
+      Symbol c_b = 0;
+      SaRange child_b;
+      bool single_b = !r.Empty() && fm.ExtendSingleton(r.lo, &c_b, &child_b);
 
-        ASSERT_EQ(ext_a, ext_b) << "sigma=" << sigma
-                                << " two_level=" << two_level;
-        ASSERT_EQ(all_a, all_b);
-        ASSERT_EQ(loc_a, loc_b);
-        ASSERT_EQ(single_a, single_b);
-        if (single_a) {
-          ASSERT_EQ(c_a, c_b);
-          ASSERT_EQ(child_a, child_b);
-        }
+      ASSERT_EQ(ext_a, ext_b) << "sigma=" << sigma;
+      ASSERT_EQ(all_a, all_b);
+      ASSERT_EQ(loc_a, loc_b);
+      ASSERT_EQ(single_a, single_b);
+      if (single_a) {
+        ASSERT_EQ(c_a, c_b);
+        ASSERT_EQ(child_a, child_b);
       }
     }
   }

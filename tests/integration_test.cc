@@ -90,21 +90,6 @@ TEST(Integration, ThreeEnginesOneWorkload) {
   EXPECT_LE(blast_hits.size(), alae_hits.size());
 }
 
-TEST(Integration, WaveletIndexGivesSameAnswers) {
-  WorkloadSpec spec;
-  spec.text_length = 4000;
-  spec.query_length = 150;
-  spec.num_queries = 1;
-  Workload w = BuildWorkload(spec);
-  ScoringScheme scheme = ScoringScheme::Default();
-  FmIndexOptions wavelet;
-  wavelet.use_wavelet = true;
-  AlaeIndex flat_index(w.text);
-  AlaeIndex wave_index(w.text, wavelet);
-  EXPECT_EQ(Alae(flat_index).Run(w.queries[0], scheme, 22).Sorted(),
-            Alae(wave_index).Run(w.queries[0], scheme, 22).Sorted());
-}
-
 TEST(Integration, ProteinWorkloadEndToEnd) {
   WorkloadSpec spec;
   spec.alphabet = AlphabetKind::kProtein;

@@ -521,6 +521,27 @@ TEST_F(LiveManifestHardeningTest, RejectsDeltaReferencingUnknownDocument) {
   EXPECT_TRUE(delta_error) << live.status().ToString();
 }
 
+TEST_F(LiveManifestHardeningTest, RejectsNonzeroWaveletSlot) {
+  SaveFixture();
+  // Manifest layout: magic, generation, shard_size, overlap, wavelet, ...
+  // — each a little-endian u64. The wavelet slot is kept for format
+  // compatibility; the occ mode it selected no longer exists, so any
+  // nonzero value must reject.
+  const std::string manifest = dir() + "/corpus.manifest";
+  std::fstream file(manifest,
+                    std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.is_open());
+  file.seekp(4 * 8);
+  const uint64_t one = 1;
+  file.write(reinterpret_cast<const char*>(&one), sizeof(one));
+  file.close();
+  api::StatusOr<std::unique_ptr<LiveCorpus>> live =
+      LiveCorpus::Load(dir(), SmallLiveOptions());
+  ASSERT_FALSE(live.ok());
+  EXPECT_EQ(live.status().code(), StatusCode::kInvalidArgument)
+      << live.status().ToString();
+}
+
 TEST_F(LiveManifestHardeningTest, RejectsSwappedDeltaIndexFile) {
   SaveFixture();
   // Swapping the two delta index files must trip the content probe even

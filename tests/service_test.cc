@@ -405,38 +405,34 @@ TEST(QuerySchedulerTest, RejectsQueriesTooLongForOverlapAndUnknownBackend) {
   EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
 }
 
-TEST(ShardedCorpus, SaveLoadRoundTripsBothIndexModes) {
+TEST(ShardedCorpus, SaveLoadRoundTrips) {
   SequenceGenerator gen(412);
   Sequence text = gen.Random(1'400, Alphabet::Dna());
   Sequence query = gen.HomologousQuery(text, 40, 0.8, 0.1, 0.01);
-  for (bool wavelet : {false, true}) {
-    ShardedCorpusOptions options;
-    options.shard_size = 500;
-    options.overlap = 150;
-    options.index.use_wavelet = wavelet;
-    std::unique_ptr<ShardedCorpus> corpus = MustBuild(text, options);
+  ShardedCorpusOptions options;
+  options.shard_size = 500;
+  options.overlap = 150;
+  std::unique_ptr<ShardedCorpus> corpus = MustBuild(text, options);
 
-    std::string dir = ::testing::TempDir() + "/alae_corpus_" +
-                      (wavelet ? "wavelet" : "flat");
-    std::filesystem::remove_all(dir);
-    api::Status saved = corpus->Save(dir);
-    ASSERT_TRUE(saved.ok()) << saved.ToString();
+  std::string dir = ::testing::TempDir() + "/alae_corpus_roundtrip";
+  std::filesystem::remove_all(dir);
+  api::Status saved = corpus->Save(dir);
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
 
-    auto loaded = ShardedCorpus::Load(dir);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ((*loaded)->num_shards(), corpus->num_shards());
-    EXPECT_NE((*loaded)->epoch(), corpus->epoch())
-        << "reloaded corpora must never share a cache epoch";
+  auto loaded = ShardedCorpus::Load(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->num_shards(), corpus->num_shards());
+  EXPECT_NE((*loaded)->epoch(), corpus->epoch())
+      << "reloaded corpora must never share a cache epoch";
 
-    QueryScheduler before(*corpus, {});
-    QueryScheduler after(**loaded, {});
-    SearchRequest request = MakeRequest(query, 18);
-    api::StatusOr<SearchResponse> a = before.Search("alae", request);
-    api::StatusOr<SearchResponse> b = after.Search("alae", request);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->hits, b->hits) << (wavelet ? "wavelet" : "flat");
-  }
+  QueryScheduler before(*corpus, {});
+  QueryScheduler after(**loaded, {});
+  SearchRequest request = MakeRequest(query, 18);
+  api::StatusOr<SearchResponse> a = before.Search("alae", request);
+  api::StatusOr<SearchResponse> b = after.Search("alae", request);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->hits, b->hits);
 }
 
 TEST(ShardedCorpus, LoadRejectsTamperedShardFile) {
@@ -517,6 +513,7 @@ TEST(ShardedCorpus, LoadRejectsCorruptManifestIntegers) {
   const Corruption corruptions[] = {
       {8, 1ULL << 62},            // shard_size: overflow bait
       {16, (1ULL << 62) + 3},     // overlap: 2*overlap would wrap
+      {24, 1},                    // retired wavelet-mode slot must be 0
       {48, 1ULL << 60},           // num_shards: allocation bomb bait
       {48, 0},                    // num_shards: zero
   };

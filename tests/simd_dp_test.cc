@@ -35,7 +35,6 @@ std::vector<DpTier> SupportedVectorTiers() {
   std::vector<DpTier> tiers;
   if (DpTierSupported(DpTier::kSse2)) tiers.push_back(DpTier::kSse2);
   if (DpTierSupported(DpTier::kAvx2)) tiers.push_back(DpTier::kAvx2);
-  if (DpTierSupported(DpTier::kAvx2i16)) tiers.push_back(DpTier::kAvx2i16);
   return tiers;
 }
 
@@ -247,24 +246,75 @@ TEST(SimdDp, DispatchForceAndRestore) {
   EXPECT_STREQ(DpTierName(DpTier::kScalar), "scalar");
   EXPECT_STREQ(DpTierName(DpTier::kSse2), "sse2");
   EXPECT_STREQ(DpTierName(DpTier::kAvx2), "avx2");
-  EXPECT_STREQ(DpTierName(DpTier::kAvx2i16), "avx2_i16");
 }
 
-// int16-tier boundary cases: real scores straddling the int16
-// representable range force the load/compute clip detectors, while scores
-// just inside it must flow through the narrow path — both must match the
-// scalar oracle exactly. (The generic sweep above covers the far regimes;
-// this one dwells on the +-32767 rails where the sentinel encoding and
-// saturating arithmetic meet.)
+// ComputeRowPair under `tier` must be bit-exact against two sequential
+// scalar rows: output arrays and returned chain state of both rows.
+void ExpectSamePair(RowCase& ca, RowCase& cb, DpTier tier, uint64_t tag) {
+  std::vector<int32_t> sm_a, sga_a, sgb_a, sm_b, sga_b, sgb_b;
+  std::vector<int32_t> vm_a, vga_a, vgb_a, vm_b, vga_b, vgb_b;
+  bool gb_a = (tag % 3) != 0;  // exercise the nullable Gb outputs too
+  bool gb_b = (tag % 5) != 0;
+  RowStats ssa, ssb, vsa, vsb;
+  ca.Bind(&sm_a, &sga_a, gb_a ? &sgb_a : nullptr);
+  cb.Bind(&sm_b, &sga_b, gb_b ? &sgb_b : nullptr);
+  ComputeRowScalar(ca.spec, &ssa);
+  ComputeRowScalar(cb.spec, &ssb);
+  ca.Bind(&vm_a, &vga_a, gb_a ? &vgb_a : nullptr);
+  cb.Bind(&vm_b, &vga_b, gb_b ? &vgb_b : nullptr);
+  TierGuard guard;
+  ASSERT_TRUE(SetDpTier(tier));
+  ComputeRowPair(ca.spec, cb.spec, &vsa, &vsb);
+  ASSERT_EQ(sm_a, vm_a) << "pair row a M, tier " << DpTierName(tier)
+                        << " case " << tag;
+  ASSERT_EQ(sga_a, vga_a) << "pair row a Ga, case " << tag;
+  if (gb_a) ASSERT_EQ(sgb_a, vgb_a) << "pair row a Gb, case " << tag;
+  ASSERT_EQ(sm_b, vm_b) << "pair row b M, tier " << DpTierName(tier)
+                        << " case " << tag;
+  ASSERT_EQ(sga_b, vga_b) << "pair row b Ga, case " << tag;
+  if (gb_b) ASSERT_EQ(sgb_b, vgb_b) << "pair row b Gb, case " << tag;
+  EXPECT_EQ(ssa.first_alive, vsa.first_alive) << "case " << tag;
+  EXPECT_EQ(ssa.last_alive, vsa.last_alive) << "case " << tag;
+  EXPECT_EQ(ssa.gb_last, vsa.gb_last) << "case " << tag;
+  EXPECT_EQ(ssa.mu_last, vsa.mu_last) << "case " << tag;
+  EXPECT_EQ(ssb.first_alive, vsb.first_alive) << "case " << tag;
+  EXPECT_EQ(ssb.last_alive, vsb.last_alive) << "case " << tag;
+  EXPECT_EQ(ssb.gb_last, vsb.gb_last) << "case " << tag;
+  EXPECT_EQ(ssb.mu_last, vsb.mu_last) << "case " << tag;
+}
+
+// ComputeRowPair must be bit-exact against two sequential scalar rows for
+// every tier — under kAvx2 that exercises the 16-lane int16 pair kernel
+// (both rows 1..8 cells), everywhere else the sequential fallback.
+TEST(SimdDp, PairedRowsMatchSequentialScalar) {
+  std::vector<DpTier> tiers = {DpTier::kScalar};
+  for (DpTier t : SupportedVectorTiers()) tiers.push_back(t);
+  Rng rng(555);
+  uint64_t tag = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    int64_t len_a = rng.Range(1, 9);
+    int64_t len_b = rng.Range(1, 9);
+    RowCase ca = RandomCase(rng, len_a);
+    RowCase cb = RandomCase(rng, len_b);
+    for (DpTier tier : tiers) ExpectSamePair(ca, cb, tier, ++tag);
+  }
+}
+
+// Int16 pair-kernel boundary cases: real scores straddling the int16
+// representable range force the load/compute clip detectors (and the
+// per-half scalar recompute), while scores just inside it must flow
+// through the narrow path — both must match the scalar oracle exactly.
+// (The generic sweep above covers the far regimes; this one dwells on the
+// +-32767 rails where the sentinel encoding and saturating arithmetic
+// meet.)
 TEST(SimdDp, Int16TierSaturationRails) {
-  if (!DpTierSupported(DpTier::kAvx2i16)) {
+  if (!DpTierSupported(DpTier::kAvx2)) {
     GTEST_SKIP() << "no avx2 on this host";
   }
   Rng rng(777);
   uint64_t tag = 90000;
-  for (int trial = 0; trial < 200; ++trial) {
-    int64_t len = rng.Range(16, 80);
-    RowCase c = RandomCase(rng, len);
+  auto railed_case = [&] {
+    RowCase c = RandomCase(rng, rng.Range(1, 8));
     auto rail = [&](int32_t v) {
       switch (rng.Below(6)) {
         case 0:
@@ -286,57 +336,15 @@ TEST(SimdDp, Int16TierSaturationRails) {
         if (v != kNegInf && rng.Bernoulli(0.4)) v = rail(v);
       }
     }
-    ExpectSameRow(c, DpTier::kAvx2i16, ++tag);
-  }
-}
-
-// ComputeRowPair must be bit-exact against two sequential scalar rows for
-// every tier — under the int16 tier that exercises the 16-lane paired
-// kernel (both rows 1..8 cells), everywhere else the sequential fallback.
-TEST(SimdDp, PairedRowsMatchSequentialScalar) {
-  std::vector<DpTier> tiers = {DpTier::kScalar};
-  for (DpTier t : SupportedVectorTiers()) tiers.push_back(t);
-  Rng rng(555);
-  TierGuard guard;
-  uint64_t tag = 0;
-  for (int trial = 0; trial < 300; ++trial) {
-    int64_t len_a = rng.Range(1, 9);
-    int64_t len_b = rng.Range(1, 9);
-    RowCase ca = RandomCase(rng, len_a);
-    RowCase cb = RandomCase(rng, len_b);
-    std::vector<int32_t> sm_a, sga_a, sgb_a, sm_b, sga_b, sgb_b;
-    std::vector<int32_t> vm_a, vga_a, vgb_a, vm_b, vga_b, vgb_b;
-    bool gb_a = (trial % 3) != 0;
-    bool gb_b = (trial % 5) != 0;
-    RowStats ssa, ssb;
-    ca.Bind(&sm_a, &sga_a, gb_a ? &sgb_a : nullptr);
-    cb.Bind(&sm_b, &sga_b, gb_b ? &sgb_b : nullptr);
-    ComputeRowScalar(ca.spec, &ssa);
-    ComputeRowScalar(cb.spec, &ssb);
-    for (DpTier tier : tiers) {
-      ASSERT_TRUE(SetDpTier(tier));
-      RowStats vsa, vsb;
-      ca.Bind(&vm_a, &vga_a, gb_a ? &vgb_a : nullptr);
-      cb.Bind(&vm_b, &vga_b, gb_b ? &vgb_b : nullptr);
-      ComputeRowPair(ca.spec, cb.spec, &vsa, &vsb);
-      ++tag;
-      ASSERT_EQ(sm_a, vm_a) << "pair row a M, tier " << DpTierName(tier)
-                            << " case " << tag;
-      ASSERT_EQ(sga_a, vga_a) << "pair row a Ga, case " << tag;
-      if (gb_a) ASSERT_EQ(sgb_a, vgb_a) << "pair row a Gb, case " << tag;
-      ASSERT_EQ(sm_b, vm_b) << "pair row b M, tier " << DpTierName(tier)
-                            << " case " << tag;
-      ASSERT_EQ(sga_b, vga_b) << "pair row b Ga, case " << tag;
-      if (gb_b) ASSERT_EQ(sgb_b, vgb_b) << "pair row b Gb, case " << tag;
-      EXPECT_EQ(ssa.first_alive, vsa.first_alive) << "case " << tag;
-      EXPECT_EQ(ssa.last_alive, vsa.last_alive) << "case " << tag;
-      EXPECT_EQ(ssa.gb_last, vsa.gb_last) << "case " << tag;
-      EXPECT_EQ(ssa.mu_last, vsa.mu_last) << "case " << tag;
-      EXPECT_EQ(ssb.first_alive, vsb.first_alive) << "case " << tag;
-      EXPECT_EQ(ssb.last_alive, vsb.last_alive) << "case " << tag;
-      EXPECT_EQ(ssb.gb_last, vsb.gb_last) << "case " << tag;
-      EXPECT_EQ(ssb.mu_last, vsb.mu_last) << "case " << tag;
+    if (c.spec.gb_init != kNegInf && rng.Bernoulli(0.2)) {
+      c.spec.gb_init = rail(c.spec.gb_init);
     }
+    return c;
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    RowCase ca = railed_case();
+    RowCase cb = railed_case();
+    ExpectSamePair(ca, cb, DpTier::kAvx2, ++tag);
   }
 }
 
