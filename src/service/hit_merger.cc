@@ -1,66 +1,10 @@
 #include "src/service/hit_merger.h"
 
 #include <algorithm>
-#include <cassert>
+#include <utility>
 
 namespace alae {
 namespace service {
-
-void HitMerger::MergeSlice(size_t slice, const std::vector<AlignmentHit>& raw,
-                           const api::EngineStats& stats) {
-  const ShardSlice& s = view_.slices[slice];
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.Merge(stats);
-  for (const AlignmentHit& hit : raw) {
-    AlignmentHit global = hit;
-    global.text_end += s.text_start;
-    if (!s.OwnsGlobalEnd(global.text_end)) continue;
-    if (TombstoneSuppressed(view_.tombstones, global.text_end,
-                            tombstone_guard_)) {
-      ++tombstone_filtered_;
-      continue;
-    }
-    if (global.text_start >= 0) global.text_start += s.text_start;
-    assert(global.text_end >= 0 && global.text_end < (int64_t{1} << 32) &&
-           global.query_end >= 0 && global.query_end < (int64_t{1} << 32) &&
-           "hit coordinates outside the injective key range");
-    const uint64_t key = (static_cast<uint64_t>(global.text_end) << 32) |
-                         static_cast<uint64_t>(global.query_end);
-    auto [it, inserted] = hits_.try_emplace(key, global);
-    if (!inserted && global.score > it->second.score) {
-      // Ownership partitions end positions, so cross-slice duplicates
-      // should not occur; this max-merge keeps the merger correct for any
-      // producer that does overlap-emit (e.g. direct MergeSlice users).
-      it->second = global;
-    }
-  }
-}
-
-api::SearchResponse HitMerger::Take(uint64_t max_hits) {
-  std::lock_guard<std::mutex> lock(mu_);
-  api::SearchResponse response;
-  response.hits.reserve(hits_.size());
-  for (const auto& [key, hit] : hits_) {
-    (void)key;
-    response.hits.push_back(hit);
-  }
-  std::sort(response.hits.begin(), response.hits.end(),
-            [](const AlignmentHit& a, const AlignmentHit& b) {
-              return a.text_end != b.text_end ? a.text_end < b.text_end
-                                              : a.query_end < b.query_end;
-            });
-  if (max_hits > 0 && response.hits.size() > max_hits) {
-    response.hits.resize(max_hits);
-    response.stats.truncated = true;
-  }
-  response.stats.Merge(stats_);
-  response.stats.hits_emitted = response.hits.size();
-  response.stats.tombstone_filtered = tombstone_filtered_;
-  hits_.clear();
-  stats_ = api::EngineStats();
-  tombstone_filtered_ = 0;
-  return response;
-}
 
 StreamMerger::StreamMerger(const CorpusView& view, int64_t guard,
                            uint64_t max_hits, api::HitSink sink,
@@ -102,17 +46,21 @@ void StreamMerger::EmitLocked(const AlignmentHit& hit) {
 }
 
 bool StreamMerger::Publish(size_t slice, const AlignmentHit& raw) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return PublishLocked(slice, raw);
+}
+
+bool StreamMerger::PublishLocked(size_t slice, const AlignmentHit& raw) {
+  if (capped_) return false;
   const ShardSlice& s = view_.slices[slice];
   AlignmentHit global = raw;
   global.text_end += s.text_start;
-  if (global.text_start >= 0) global.text_start += s.text_start;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (capped_) return false;
   if (!s.OwnsGlobalEnd(global.text_end)) return true;
   if (TombstoneSuppressed(view_.tombstones, global.text_end, guard_)) {
     ++tombstone_filtered_;
     return true;
   }
+  if (global.text_start >= 0) global.text_start += s.text_start;
   const size_t rank = rank_of_slice_[slice];
   if (rank == live_rank_) {
     EmitLocked(global);
@@ -124,6 +72,20 @@ bool StreamMerger::Publish(size_t slice, const AlignmentHit& raw) {
 
 void StreamMerger::Close(size_t slice, const api::EngineStats& stats) {
   std::lock_guard<std::mutex> lock(mu_);
+  CloseLocked(slice, stats);
+}
+
+void StreamMerger::PublishSlice(size_t slice,
+                                const std::vector<AlignmentHit>& raw,
+                                const api::EngineStats& stats) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const AlignmentHit& hit : raw) {
+    if (!PublishLocked(slice, hit)) break;
+  }
+  CloseLocked(slice, stats);
+}
+
+void StreamMerger::CloseLocked(size_t slice, const api::EngineStats& stats) {
   stats_.Merge(stats);
   const size_t rank = rank_of_slice_[slice];
   closed_[rank] = true;
@@ -154,18 +116,16 @@ bool StreamMerger::sink_stopped() const {
   return sink_stopped_;
 }
 
-uint64_t StreamMerger::tombstone_filtered() const {
+api::SearchResponse StreamMerger::Take() {
   std::lock_guard<std::mutex> lock(mu_);
-  return tombstone_filtered_;
-}
-
-api::EngineStats StreamMerger::TakeStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  api::EngineStats stats = stats_;
-  stats.hits_emitted = emitted_.size();
-  stats.tombstone_filtered = tombstone_filtered_;
-  if (capped_) stats.truncated = true;
-  return stats;
+  api::SearchResponse response;
+  response.stats = stats_;
+  response.stats.hits_emitted = emitted_.size();
+  response.stats.tombstone_filtered = tombstone_filtered_;
+  if (capped_) response.stats.truncated = true;
+  response.hits = std::move(emitted_);
+  emitted_.clear();
+  return response;
 }
 
 }  // namespace service

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/api/search.h"
@@ -14,76 +13,29 @@ namespace alae {
 namespace service {
 
 // Collects one query's per-slice result streams into a single global
-// response: remaps slice-local coordinates to global ones, drops hits the
+// answer: remaps slice-local coordinates to global ones, drops hits the
 // producing slice does not own (a neighbour scores them with full
 // context), suppresses hits whose alignment window touches a tombstoned
-// span, deduplicates by global (text_end, query_end) keeping the best
-// score, and merges per-slice EngineStats.
-//
-// Slice tasks run concurrently; each buffers its *raw* slice-local hits
-// (which is also what the shard-local fragment cache stores — raw hits
-// stay valid however the ownership frontier or tombstone set moves) and
-// publishes the buffer with one MergeSlice call, so the merger's lock is
-// taken once per slice rather than once per hit.
-class HitMerger {
- public:
-  // `view` must outlive the merger (the scheduler holds both on the
-  // batch's stack). `tombstone_guard` is the query's RequiredSpan — the
-  // conservative alignment-window length behind TombstoneSuppressed.
-  HitMerger(const CorpusView& view, int64_t tombstone_guard)
-      : view_(view), tombstone_guard_(tombstone_guard) {}
-
-  // Publishes one slice's raw (slice-local, unfiltered) hits and the stats
-  // of the run that produced them. Thread-safe.
-  void MergeSlice(size_t slice, const std::vector<AlignmentHit>& raw,
-                  const api::EngineStats& stats);
-
-  // Final response: hits sorted by (text_end, query_end), stats merged
-  // across slices (including the tombstone_filtered count). Call after
-  // every slice task completed.
-  api::SearchResponse Take(uint64_t max_hits);
-
- private:
-  struct KeyHash {
-    size_t operator()(uint64_t k) const {
-      k ^= k >> 33;
-      k *= 0xFF51AFD7ED558CCDULL;
-      k ^= k >> 33;
-      return static_cast<size_t>(k);
-    }
-  };
-
-  const CorpusView& view_;
-  const int64_t tombstone_guard_;
-  std::mutex mu_;
-  std::unordered_map<uint64_t, AlignmentHit, KeyHash> hits_;
-  api::EngineStats stats_;
-  uint64_t tombstone_filtered_ = 0;
-};
-
-// Streaming counterpart of HitMerger: a k-way merge over per-slice
-// *sorted* hit streams that forwards hits to a sink in global
-// (text_end, query_end) order while the slice engines are still running,
-// and short-circuits remaining shard work once `max_hits` is satisfied.
+// span, and forwards the survivors to a sink in global (text_end,
+// query_end) order while the slice engines are still running. Once
+// `max_hits` is satisfied it short-circuits the remaining shard work.
 //
 // Why a merge degenerates to an ordered hand-off here: ownership
 // partitions the corpus's text-end positions across slices into disjoint,
-// sorted intervals, and every backend emits its hits in (text_end,
-// query_end) order (the Aligner sink contract) — so after ownership
-// filtering, the slice streams are internally sorted AND pairwise
-// disjoint in rank. Global sorted order is therefore the slices' streams
-// concatenated in owned_begin order. The merger keeps one "live" slice
-// (the lowest-ranked not yet closed): its hits flow straight to the sink;
-// hits published by higher-ranked slices running concurrently are
-// buffered and flushed the moment every lower rank has closed.
+// sorted intervals, and every slice stream arrives in (text_end,
+// query_end) order (the Aligner sink contract; fused lanes and cached
+// fragments are published sorted) — so after ownership filtering, the
+// slice streams are internally sorted AND pairwise disjoint in rank.
+// Global sorted order is therefore the slices' streams concatenated in
+// owned_begin order. The merger keeps one "live" slice (the lowest-ranked
+// not yet closed): its hits flow straight to the sink; hits published by
+// higher-ranked slices running concurrently are buffered and flushed the
+// moment every lower rank has closed.
 //
 // Short-circuit: once the emitted count reaches `max_hits` (or the sink
-// returns false), the merger fires `cap_token` — the token the slice
-// engines observe — so every still-running slice aborts at its next
-// cancellation poll and queued slice tasks fast-fail, instead of
-// computing a full answer that Take() would then throw away. The emitted
-// prefix is bit-identical to HitMerger::Take(max_hits)'s truncation of
-// the full merge.
+// returns false), the merger fires `cap_token`, which the slice engines
+// observe, so still-running slices abort and queued ones fast-fail. The
+// emitted sequence is always the sorted global answer's max_hits prefix.
 //
 // Thread-safe: Publish/Close may race across slice tasks. The sink runs
 // under the merger's lock (publication order IS the global order), so it
@@ -92,9 +44,14 @@ class StreamMerger {
  public:
   // `view` must outlive the merger; `guard` is the query's RequiredSpan
   // (tombstone suppression window). `max_hits` = 0 streams everything.
-  // `cap_token` (not owned, may be null) is fired when the cap is hit.
+  // A null `sink` only collects (see Take). `cap_token` (not owned, may
+  // be null) is fired when the cap is hit.
   StreamMerger(const CorpusView& view, int64_t guard, uint64_t max_hits,
                api::HitSink sink, CancelToken* cap_token);
+
+  // Slice indexes in merge-rank (owned_begin) order: publishing whole
+  // slices in this order never buffers.
+  const std::vector<size_t>& order() const { return slice_of_rank_; }
 
   // Publishes one raw slice-local hit from slice `slice`'s engine stream.
   // Applies remap + ownership + tombstone filtering inline. Returns false
@@ -106,35 +63,32 @@ class StreamMerger {
   // unblocks buffered successors. Call exactly once per slice.
   void Close(size_t slice, const api::EngineStats& stats);
 
-  // True once max_hits was reached or the sink returned false; engines
-  // seeing kCancelled from the cap token should treat the run as
-  // successfully truncated when this is set.
+  // Publish of a whole, already complete sorted slice stream (a fused
+  // lane or a cached fragment) followed by Close, under one lock.
+  void PublishSlice(size_t slice, const std::vector<AlignmentHit>& raw,
+                    const api::EngineStats& stats);
+
+  // True once max_hits was reached or the sink returned false; a slice
+  // seeing kCancelled from the cap token then ran successfully truncated.
   bool cap_satisfied() const;
 
   // True when the cap was the *sink* stopping (returned false) rather than
-  // max_hits filling up. A sink-stopped prefix has no cache meaning (the
-  // cache key carries max_hits, not the sink's whim), so the scheduler
-  // refuses to cache it.
+  // max_hits filling up: such a prefix has no cache meaning (the cache key
+  // carries max_hits, not the sink's whim).
   bool sink_stopped() const;
 
-  // Hits emitted so far, in emission (= global sorted) order. Only valid
-  // after every slice closed; the scheduler uses it to populate the
-  // response cache without re-buffering the stream.
-  const std::vector<AlignmentHit>& emitted() const { return emitted_; }
-
-  uint64_t tombstone_filtered() const;
-
-  // Merged stats: per-slice EngineStats plus emission accounting
-  // (hits_emitted, truncated when capped, tombstone_filtered). Call after
-  // every slice closed.
-  api::EngineStats TakeStats();
+  // The answer: every emitted hit in emission (= global sorted) order, and
+  // the merged per-slice stats plus emission accounting (hits_emitted,
+  // truncated when capped, tombstone_filtered). Call after every slice
+  // closed.
+  api::SearchResponse Take();
 
  private:
+  bool PublishLocked(size_t slice, const AlignmentHit& raw);
+  void CloseLocked(size_t slice, const api::EngineStats& stats);
   // Emits one already-filtered global hit; fires the cap when satisfied.
-  // Caller holds mu_.
   void EmitLocked(const AlignmentHit& hit);
   // Advances live_rank_ past closed slices, flushing their buffers.
-  // Caller holds mu_.
   void AdvanceLocked();
 
   const CorpusView& view_;
@@ -142,10 +96,10 @@ class StreamMerger {
   const uint64_t max_hits_;
   const api::HitSink sink_;
   CancelToken* const cap_token_;
+  std::vector<size_t> slice_of_rank_;  // merge rank -> slice index
+  std::vector<size_t> rank_of_slice_;  // slice index -> merge rank
 
   mutable std::mutex mu_;
-  std::vector<size_t> rank_of_slice_;   // slice index -> merge rank
-  std::vector<size_t> slice_of_rank_;   // merge rank -> slice index
   std::vector<std::vector<AlignmentHit>> buffered_;  // by rank
   std::vector<bool> closed_;                         // by rank
   size_t live_rank_ = 0;

@@ -46,7 +46,7 @@ struct LiveCorpusOptions {
 // small write-absorbing DeltaShard over just the new text (synchronously;
 // it is tiny), DeleteDocument records a tombstone over the document's
 // global span, and queries fan out over base + delta slices through the
-// ordinary QueryScheduler path, with HitMerger suppressing tombstoned
+// ordinary QueryScheduler path, with StreamMerger suppressing tombstoned
 // hits at read time. Compaction — background-triggered or explicit —
 // rewrites the physical text without the dead spans, rebuilds a fresh
 // base, and atomically swaps it in under a new epoch (document ids are

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -18,9 +19,8 @@ namespace alae {
 namespace service {
 namespace {
 
-// Completion latch for one request's (or one batch's) fan-out. Callers
-// always Wait before returning, so tasks may safely reference caller-stack
-// state through this.
+// Completion latch for one wave's tasks. Callers always Wait before
+// returning, so tasks may safely reference caller-stack state through this.
 class TaskGroup {
  public:
   explicit TaskGroup(size_t pending) : pending_(pending) {}
@@ -65,13 +65,83 @@ api::Status SliceError(size_t slice, const api::Status& status) {
                          status.message());
 }
 
+// Fusion policy. The fused union-trie walk computes each distinct path's
+// fork DP once for every slice — strictly less work than one engine run
+// per slice — but its lanes reach the merger only when the whole walk is
+// done, so a capped query keeps per-slice tasks, whose early slices can
+// satisfy the cap and stop the rest. The walk needs the typed ALAE plan (a
+// custom backend registered as "alae" compiles something else) and cannot
+// host the single-index bitset filter.
+bool UseFusedWalk(const api::QueryPlan& plan, uint64_t max_hits) {
+  return max_hits == 0 && dynamic_cast<const api::AlaePlan*>(&plan) != nullptr &&
+         !plan.request().alae.bitset_global_filter;
+}
+
+// Runs `fn` when the scope exits, on every return path.
+template <typename Fn>
+struct Defer {
+  Fn fn;
+  ~Defer() { fn(); }
+};
+
+// The token-to-status conversion Aligner::Search performs, for the
+// admission check and the fused walk, which bypasses that layer:
+// kCancelled / kDeadlineExceeded, or — with allow_partial — Ok with
+// *partial set. `when` completes the message ("before admission", ...).
+api::Status TokenStatus(const api::SearchRequest& request, const char* when,
+                        bool* partial) {
+  if (request.cancel == nullptr) return api::Status::Ok();
+  switch (request.cancel->ExpiredWhy()) {
+    case CancelToken::Why::kCancelled:
+      return api::Status::Cancelled(std::string("request cancelled ") + when);
+    case CancelToken::Why::kDeadline:
+      if (!request.allow_partial) {
+        return api::Status::DeadlineExceeded(std::string("deadline expired ") +
+                                             when);
+      }
+      *partial = true;
+      break;
+    case CancelToken::Why::kNone:
+      break;
+  }
+  return api::Status::Ok();
+}
+
 }  // namespace
+
+// One admitted query: the tokens its engines observe, its compiled plan
+// and the merger its slices publish into. Lives in a deque on Execute's
+// stack, so tasks may hold pointers to it.
+struct QueryScheduler::Query {
+  Query(const CorpusView& view, size_t index, const api::SearchRequest& request,
+        int64_t guard, const api::HitSink* sink, obs::Trace* trace, int root)
+      : index(index),
+        effective(request.cancel),
+        cap(&effective),
+        merger(view, guard, request.max_hits,
+               sink != nullptr ? *sink : api::HitSink(), &cap),
+        trace(trace),
+        root(root) {}
+
+  const size_t index;  // position in Execute's request span
+  // Observes the caller's token, carries the scheduler default deadline,
+  // and is registered in inflight_ so Shutdown can fire it.
+  CancelToken effective;
+  // What the engines observe (the plan carries it): the effective token,
+  // plus the merger firing it once max_hits is met or the sink stops.
+  CancelToken cap;
+  StreamMerger merger;
+  obs::Trace* const trace;
+  const int root;
+  std::unique_ptr<api::QueryPlan> plan;
+  bool fused = false;
+  ErrorSlot error;
+};
 
 QueryScheduler::QueryScheduler(const CorpusSource& source,
                                SchedulerOptions options)
     : source_(source),
       batch_size_(std::max<size_t>(1, options.batch_size)),
-      fuse_alae_shards_(options.fuse_alae_shards),
       default_deadline_ms_(options.default_deadline_ms),
       registry_(options.registry != nullptr ? options.registry
                                             : &obs::MetricsRegistry::Default()),
@@ -167,206 +237,190 @@ void QueryScheduler::Shutdown() {
     shutdown_ = true;
     // Fire every in-flight query's effective token: running engine loops
     // bail at their next poll, queued-but-unstarted tasks fast-fail, and
-    // each batch returns kCancelled to its caller.
+    // each call returns kCancelled to its caller.
     for (CancelToken* token : inflight_) token->Cancel();
-    lifecycle_cv_.wait(lock, [this] { return active_batches_ == 0; });
+    lifecycle_cv_.wait(lock, [this] { return active_calls_ == 0; });
   }
-  // With every batch gone nothing submits anymore; close and join.
+  // With every call gone nothing submits anymore; close and join.
   pool_.Shutdown();
 }
 
 api::StatusOr<api::SearchResponse> QueryScheduler::Search(
     std::string_view backend, const api::SearchRequest& request) {
-  std::vector<api::QueryOutcome> outcomes = SearchBatch(backend, {request});
+  std::vector<api::QueryOutcome> outcomes =
+      Execute(backend, {&request, 1}, nullptr, inst_.requests_search);
   if (!outcomes[0].ok()) return outcomes[0].status;
   return std::move(outcomes[0].response);
-}
-
-api::Status QueryScheduler::RunSliceQuery(const CorpusView& view, size_t slice,
-                                          const api::Aligner* aligner,
-                                          const api::QueryPlan& plan,
-                                          HitMerger* merger, obs::Trace* trace,
-                                          int root) {
-  obs::ScopedSpan execute_span(trace, "execute", root);
-  const bool frag = shard_cache_.capacity() > 0;
-  std::string fkey;
-  if (frag) {
-    fkey = ResultCache::FragmentKeyFor(view.slices[slice].content_key, plan);
-    api::SearchResponse fragment;
-    if (shard_cache_.Lookup(fkey, &fragment)) {
-      api::EngineStats stats;
-      stats.shard_cache_hits = 1;
-      merger->MergeSlice(slice, fragment.hits, stats);
-      return api::Status::Ok();
-    }
-  }
-  std::vector<AlignmentHit> raw;
-  api::EngineStats stats;
-  api::Status status = aligner->Search(
-      plan,
-      [&raw](const AlignmentHit& hit) {
-        raw.push_back(hit);
-        return true;
-      },
-      &stats);
-  if (!status.ok()) return SliceError(slice, status);
-  // A deadline-truncated run (allow_partial) is an incomplete fragment:
-  // caching it would serve missing hits forever. Merge it, don't store it.
-  if (frag && !stats.truncated_by_deadline) {
-    // Fragments are the raw slice-local stream — ownership cuts and
-    // tombstones are applied at reuse time, so a fragment stays valid for
-    // as long as the slice *content* does, however the frontier moves.
-    api::SearchResponse fragment;
-    fragment.hits = raw;
-    shard_cache_.Insert(fkey, fragment);
-    stats.shard_cache_misses = 1;
-  }
-  merger->MergeSlice(slice, raw, stats);
-  return api::Status::Ok();
-}
-
-api::Status QueryScheduler::RunFusedQuery(
-    const CorpusView& view, const api::QueryPlan& plan,
-    const std::vector<const api::Aligner*>& aligners, HitMerger* merger,
-    obs::Trace* trace, int root) {
-  const size_t slices = view.slices.size();
-  // The fused walk needs the typed ALAE plan and cannot host the
-  // (single-index, test-only) bitset filter; everything else — including
-  // plans from a custom backend registered under the "alae" name — runs
-  // the per-slice loop below, serially inside this one task (which opens
-  // its own per-slice execute spans, so none is opened here).
-  const auto* compiled = dynamic_cast<const api::AlaePlan*>(&plan);
-  if (compiled == nullptr || plan.request().alae.bitset_global_filter) {
-    for (size_t s = 0; s < slices; ++s) {
-      if (api::Status status =
-              RunSliceQuery(view, s, aligners[s], plan, merger, trace, root);
-          !status.ok()) {
-        return status;
-      }
-    }
-    return api::Status::Ok();
-  }
-
-  obs::ScopedSpan execute_span(trace, "execute", root);
-  const bool frag = shard_cache_.capacity() > 0;
-  std::vector<std::string> fkeys;
-  if (frag) {
-    // All-or-nothing against the fragment cache: the fused walk computes
-    // every slice in one pass, so one missing fragment means running the
-    // walk anyway — partial reuse would save nothing.
-    fkeys.reserve(slices);
-    std::vector<api::SearchResponse> fragments(slices);
-    bool all_cached = true;
-    for (size_t s = 0; s < slices; ++s) {
-      fkeys.push_back(
-          ResultCache::FragmentKeyFor(view.slices[s].content_key, plan));
-      if (all_cached && !shard_cache_.Lookup(fkeys[s], &fragments[s])) {
-        all_cached = false;
-      }
-    }
-    if (all_cached) {
-      for (size_t s = 0; s < slices; ++s) {
-        api::EngineStats stats;
-        stats.shard_cache_hits = 1;
-        merger->MergeSlice(s, fragments[s].hits, stats);
-      }
-      return api::Status::Ok();
-    }
-  }
-
-  // The fused walk bypasses Aligner::Search, so the cancellation status
-  // conversion that layer normally performs happens here instead.
-  const CancelToken* cancel = plan.request().cancel;
-  const bool allow_partial = plan.request().allow_partial;
-  bool partial = false;
-  if (cancel != nullptr) {
-    switch (cancel->ExpiredWhy()) {
-      case CancelToken::Why::kCancelled:
-        return api::Status::Cancelled("request cancelled before execution");
-      case CancelToken::Why::kDeadline:
-        if (!allow_partial) {
-          return api::Status::DeadlineExceeded(
-              "deadline expired before execution");
-        }
-        partial = true;
-        break;
-      case CancelToken::Why::kNone:
-        break;
-    }
-  }
-
-  std::vector<const AlaeIndex*> indexes;
-  indexes.reserve(slices);
-  for (size_t s = 0; s < slices; ++s) {
-    indexes.push_back(&view.slices[s].registry->index());
-  }
-  Timer timer;
-  AlaeRunStats run;
-  std::vector<ResultCollector> per_slice;
-  if (!partial) {
-    Alae::RunSharded(compiled->core(), indexes, &per_slice, &run, cancel);
-  } else {
-    per_slice.resize(slices);  // already expired: empty partial answer
-  }
-  api::EngineStats walk_stats;
-  walk_stats.seconds = timer.ElapsedSeconds();
-  walk_stats.counters = run.counters;
-  walk_stats.anchors_considered = run.anchors_considered;
-  walk_stats.grams_searched = run.grams_searched;
-  walk_stats.plan_reuses = 1;
-  if (cancel != nullptr && !partial) {
-    switch (cancel->ExpiredWhy()) {
-      case CancelToken::Why::kCancelled:
-        return api::Status::Cancelled("request cancelled during execution");
-      case CancelToken::Why::kDeadline:
-        if (!allow_partial) {
-          return api::Status::DeadlineExceeded("deadline expired mid-search");
-        }
-        partial = true;
-        break;
-      case CancelToken::Why::kNone:
-        break;
-    }
-  }
-  if (partial) {
-    walk_stats.truncated = true;
-    walk_stats.truncated_by_deadline = true;
-  }
-  for (size_t s = 0; s < slices; ++s) {
-    std::vector<AlignmentHit> raw;
-    // Drain unsorted: MergeSlice re-keys and Take sorts.
-    per_slice[s].ForEach(
-        [&raw](const AlignmentHit& hit) { raw.push_back(hit); });
-    // The fused walk's counters cover all slices; attribute them once.
-    api::EngineStats stats = s == 0 ? walk_stats : api::EngineStats{};
-    // An aborted walk left every slice's fragment incomplete — merge them
-    // (they are a correct subset) but never cache them.
-    if (frag && !partial) {
-      api::SearchResponse fragment;
-      fragment.hits = raw;
-      shard_cache_.Insert(fkeys[s], fragment);
-      stats.shard_cache_misses = 1;
-    }
-    merger->MergeSlice(s, raw, stats);
-  }
-  return api::Status::Ok();
 }
 
 std::vector<api::QueryOutcome> QueryScheduler::SearchBatch(
     std::string_view backend,
     const std::vector<api::SearchRequest>& requests) {
+  return Execute(backend, requests, nullptr, inst_.requests_search);
+}
+
+api::StatusOr<api::EngineStats> QueryScheduler::SearchStream(
+    std::string_view backend, const api::SearchRequest& request,
+    const api::HitSink& sink) {
+  std::vector<api::QueryOutcome> outcomes =
+      Execute(backend, {&request, 1}, &sink, inst_.requests_stream);
+  if (!outcomes[0].ok()) return outcomes[0].status;
+  return outcomes[0].response.stats;
+}
+
+api::Status QueryScheduler::RunSlice(const CorpusView& view, size_t slice,
+                                     const api::Aligner* aligner, Query* q) {
+  obs::ScopedSpan execute_span(q->trace, "execute", q->root);
+  StreamMerger& merger = q->merger;
+  const bool frag = shard_cache_.capacity() > 0;
+  std::string fkey;
+  api::EngineStats stats;
+  if (frag) {
+    fkey = ResultCache::FragmentKeyFor(view.slices[slice].content_key,
+                                       *q->plan);
+    api::SearchResponse fragment;
+    if (shard_cache_.Lookup(fkey, &fragment)) {
+      stats.shard_cache_hits = 1;
+      merger.PublishSlice(slice, fragment.hits, stats);
+      return api::Status::Ok();
+    }
+  }
+  // Fragments are the raw slice-local stream — ownership cuts and
+  // tombstones are applied at reuse time, so a fragment stays valid for
+  // as long as the slice *content* does, however the frontier moves.
+  std::vector<AlignmentHit> raw;
+  bool cut = false;  // the merger refused a hit: the run stopped early
+  api::Status status = aligner->Search(
+      *q->plan,
+      [&](const AlignmentHit& hit) {
+        if (frag) raw.push_back(hit);
+        if (merger.Publish(slice, hit)) return true;
+        cut = true;
+        return false;
+      },
+      &stats);
+  if (frag) {
+    stats.shard_cache_misses = 1;
+    // Only a run that went to completion is the slice's answer; one cut
+    // short by the cap, a cancellation or a deadline is merged, not stored.
+    if (status.ok() && !cut && !stats.truncated_by_deadline) {
+      shard_cache_.Insert(fkey, api::SearchResponse{std::move(raw), {}});
+    }
+  }
+  // Close unconditionally (exactly once per slice): even a failed slice
+  // merged its stats and must unblock buffered successors — the overall
+  // request fails through the error slot, not through a stalled merge.
+  merger.Close(slice, stats);
+  // A slice the cap token aborted because the stream is already satisfied
+  // is the short-circuit working, not a failure.
+  if (status.ok() || (merger.cap_satisfied() &&
+                      (status.code() == api::StatusCode::kCancelled ||
+                       status.code() == api::StatusCode::kDeadlineExceeded))) {
+    return api::Status::Ok();
+  }
+  return SliceError(slice, status);
+}
+
+api::Status QueryScheduler::RunFused(const CorpusView& view, Query* q) {
+  obs::ScopedSpan execute_span(q->trace, "execute", q->root);
+  const api::QueryPlan& plan = *q->plan;
+  const api::SearchRequest& request = plan.request();
+  const size_t slices = view.slices.size();
+  const bool frag = shard_cache_.capacity() > 0;
+  constexpr size_t kCached = std::numeric_limits<size_t>::max();
+
+  // Per-slice fragment reuse: a slice whose fragment is cached replays it,
+  // and the walk runs over the lanes of the other slices only.
+  std::vector<std::string> fkeys(frag ? slices : 0);
+  std::vector<api::SearchResponse> fragments(frag ? slices : 0);
+  std::vector<size_t> lane_of(slices, kCached);
+  std::vector<const AlaeIndex*> indexes;
+  for (size_t s = 0; s < slices; ++s) {
+    if (frag) {
+      fkeys[s] = ResultCache::FragmentKeyFor(view.slices[s].content_key, plan);
+      if (shard_cache_.Lookup(fkeys[s], &fragments[s])) continue;
+    }
+    lane_of[s] = indexes.size();
+    indexes.push_back(&view.slices[s].registry->index());
+  }
+
+  std::vector<ResultCollector> lanes;
+  api::EngineStats walk;
+  bool partial = false;
+  if (!indexes.empty()) {
+    if (api::Status status = TokenStatus(request, "before execution", &partial);
+        !status.ok()) {
+      return status;
+    }
+    Timer timer;
+    AlaeRunStats run;
+    if (partial) {
+      lanes.resize(indexes.size());  // already expired: empty partial answer
+    } else {
+      Alae::RunSharded(static_cast<const api::AlaePlan&>(plan).core(), indexes,
+                       &lanes, &run, request.cancel);
+      if (api::Status status =
+              TokenStatus(request, "during execution", &partial);
+          !status.ok()) {
+        return status;
+      }
+    }
+    walk.seconds = timer.ElapsedSeconds();
+    walk.counters = run.counters;
+    walk.anchors_considered = run.anchors_considered;
+    walk.grams_searched = run.grams_searched;
+    walk.plan_reuses = 1;
+    walk.truncated = partial;
+    walk.truncated_by_deadline = partial;
+  }
+
+  // Publishing whole slices in merge-rank order hands every hit straight
+  // to the sink; nothing waits in the merger's buffers.
+  bool walk_pending = !indexes.empty();
+  for (size_t s : q->merger.order()) {
+    api::EngineStats stats;
+    if (lane_of[s] == kCached) {
+      stats.shard_cache_hits = 1;
+      q->merger.PublishSlice(s, fragments[s].hits, stats);
+      continue;
+    }
+    // The walk's counters cover every lane; attribute them once.
+    if (walk_pending) {
+      stats = walk;
+      walk_pending = false;
+    }
+    std::vector<AlignmentHit> hits = lanes[lane_of[s]].Sorted();
+    if (frag) {
+      stats.shard_cache_misses = 1;
+      // Stored sorted, so a per-slice run can replay it straight into the
+      // merger. An aborted walk left every lane incomplete: never stored.
+      if (!partial) shard_cache_.Insert(fkeys[s], api::SearchResponse{hits, {}});
+    }
+    q->merger.PublishSlice(s, hits, stats);
+  }
+  return api::Status::Ok();
+}
+
+std::vector<api::QueryOutcome> QueryScheduler::Execute(
+    std::string_view backend, std::span<const api::SearchRequest> requests,
+    const api::HitSink* sink, obs::Counter* verb) {
   Timer timer;
   std::vector<api::QueryOutcome> outcomes(requests.size());
   if (requests.empty()) return outcomes;
-  if (inst_.requests_search != nullptr) {
-    inst_.requests_search->Add(requests.size());
-  }
+  if (verb != nullptr) verb->Add(requests.size());
 
+  // Lifecycle registration: a call admitted here is guaranteed to finish
+  // (Shutdown waits for it); a call arriving after Shutdown began is
+  // refused whole.
+  bool refused;
+  {
+    std::lock_guard<std::mutex> lock(lifecycle_mu_);
+    refused = shutdown_;
+    ++active_calls_;
+  }
   // Per-query traces: caller-supplied (the caller finishes those), else
   // sampled from the tracer. roots[i] is the query's "search" root span.
-  // The exit guard below closes every root, hands sampled traces to the
-  // tracer (slow-query log) and folds final outcomes into the metrics on
-  // every return path.
+  std::deque<Query> queries;
   std::vector<obs::Trace*> traces(requests.size(), nullptr);
   std::vector<std::unique_ptr<obs::Trace>> sampled(requests.size());
   std::vector<int> roots(requests.size(), -1);
@@ -382,58 +436,35 @@ std::vector<api::QueryOutcome> QueryScheduler::SearchBatch(
       any_trace = true;
     }
   }
-  struct ObsExit {
-    QueryScheduler* self;
-    std::vector<api::QueryOutcome>* outcomes;
-    std::vector<obs::Trace*>* traces;
-    std::vector<std::unique_ptr<obs::Trace>>* sampled;
-    std::vector<int>* roots;
-    ~ObsExit() {
-      for (size_t i = 0; i < traces->size(); ++i) {
-        if ((*traces)[i] != nullptr) (*traces)[i]->EndSpan((*roots)[i]);
-        self->tracer_.Finish(std::move((*sampled)[i]));
-      }
-      for (const api::QueryOutcome& o : *outcomes) {
-        self->RecordResult(o.status, &o.response.stats);
-      }
+  // On every return path: close every root, hand sampled traces to the
+  // tracer (slow-query log), fold the outcomes into the metrics, and only
+  // then deregister — once active_calls_ drops, Shutdown may return and the
+  // scheduler may be destroyed.
+  Defer call_exit{[&] {
+    for (size_t i = 0; i < traces.size(); ++i) {
+      if (traces[i] != nullptr) traces[i]->EndSpan(roots[i]);
+      tracer_.Finish(std::move(sampled[i]));
     }
-  } obs_exit{this, &outcomes, &traces, &sampled, &roots};
-
-  // Lifecycle registration: a batch admitted here is guaranteed to finish
-  // (Shutdown waits for it); a batch arriving after Shutdown began is
-  // refused whole.
-  {
+    for (const api::QueryOutcome& o : outcomes) {
+      RecordResult(o.status, &o.response.stats);
+    }
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    if (shutdown_) {
-      for (api::QueryOutcome& o : outcomes) {
-        o.status = api::Status::Cancelled("scheduler is shut down");
-      }
-      return outcomes;
+    for (Query& q : queries) inflight_.erase(&q.effective);
+    --active_calls_;
+    lifecycle_cv_.notify_all();
+  }};
+  if (refused) {
+    for (api::QueryOutcome& o : outcomes) {
+      o.status = api::Status::Cancelled("scheduler is shut down");
     }
-    ++active_batches_;
+    return outcomes;
   }
-  // Scheduler-owned effective tokens, one per live query: each observes
-  // the request's token (if any), carries the scheduler default deadline,
-  // and is registered in inflight_ so Shutdown can fire it. Deque: tasks
-  // hold pointers, so addresses must be stable.
-  std::deque<CancelToken> tokens;
-  struct BatchExit {
-    QueryScheduler* self;
-    std::deque<CancelToken>* tokens;
-    ~BatchExit() {
-      std::lock_guard<std::mutex> lock(self->lifecycle_mu_);
-      for (CancelToken& token : *tokens) self->inflight_.erase(&token);
-      --self->active_batches_;
-      self->lifecycle_cv_.notify_all();
-    }
-  } exit_guard{this, &tokens};
 
-  // One snapshot serves the whole batch: a concurrent live-corpus
-  // mutation or compaction swaps state for *later* batches, while this
-  // one keeps reading the slices (and indexes) the snapshot pinned.
+  // One snapshot serves the whole call: a concurrent live-corpus mutation
+  // or compaction swaps state for *later* calls, while this one keeps
+  // reading the slices (and indexes) the snapshot pinned.
   const CorpusView view = source_.Snapshot();
   const size_t slices = view.slices.size();
-  const size_t num_deltas = view.NumDeltaSlices();
 
   std::vector<const api::Aligner*> aligners;
   aligners.reserve(slices);
@@ -452,202 +483,164 @@ std::vector<api::QueryOutcome> QueryScheduler::SearchBatch(
   // precompute it exists to avoid (the request-shaped cache key is byte
   // identical to the plan-based one). Only cache misses compile, ONCE
   // per query (slice 0's aligner; plans are index-independent), with
-  // max_hits zeroed — slices must compute their full owned answer (a
+  // max_hits zeroed — slices must stream their full owned answer (a
   // per-slice cap could starve owned hits out of the merge); the global
-  // cap is applied by HitMerger::Take and preserved in the cache key.
-  // `live` collects the indexes that actually need engine work.
-  std::vector<size_t> live;
+  // cap is applied by the StreamMerger and preserved in the cache key.
   std::vector<std::string> keys(requests.size());
-  std::vector<int64_t> guards(requests.size(), 0);
-  std::vector<std::unique_ptr<const api::QueryPlan>> plans(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
+    const api::SearchRequest& request = requests[i];
+    api::QueryOutcome& outcome = outcomes[i];
     // Admission span: validation, span check and the cache lookup. Ends
     // where compilation starts; the scope exit covers every `continue`.
     obs::ScopedSpan admit_span(traces[i], "admit", roots[i]);
-    if (api::Status status = aligners[0]->Validate(requests[i]);
-        !status.ok()) {
-      outcomes[i].status = status;
+    if (api::Status status = aligners[0]->Validate(request); !status.ok()) {
+      outcome.status = status;
       continue;
     }
     // Fast-fail before the pool (or even the cache) is touched: an
     // already-expired request costs the service nothing.
-    if (requests[i].cancel != nullptr) {
-      switch (requests[i].cancel->ExpiredWhy()) {
-        case CancelToken::Why::kCancelled:
-          outcomes[i].status =
-              api::Status::Cancelled("request cancelled before admission");
-          continue;
-        case CancelToken::Why::kDeadline:
-          if (!requests[i].allow_partial) {
-            outcomes[i].status = api::Status::DeadlineExceeded(
-                "deadline expired before admission");
-            continue;
-          }
-          outcomes[i].response.stats.truncated = true;
-          outcomes[i].response.stats.truncated_by_deadline = true;
-          outcomes[i].response.stats.seconds = timer.ElapsedSeconds();
-          continue;
-        case CancelToken::Why::kNone:
-          break;
-      }
+    bool expired = false;
+    if (api::Status status = TokenStatus(request, "before admission", &expired);
+        !status.ok() || expired) {
+      outcome.status = status;
+      outcome.response.stats.truncated = expired;
+      outcome.response.stats.truncated_by_deadline = expired;
+      outcome.response.stats.seconds = timer.ElapsedSeconds();
+      continue;
     }
-    if (api::Status status = view.ValidateSpan(backend, requests[i]);
+    if (api::Status status = view.ValidateSpan(backend, request);
         !status.ok()) {
-      outcomes[i].status = status;
+      outcome.status = status;
       continue;
     }
-    // The tombstone guard (and BLAST window) for this query; also the
-    // value ValidateSpan just checked against the overlap.
-    guards[i] = RequiredSpan(backend, requests[i]);
-    keys[i] = ResultCache::KeyFor(backend, requests[i], view.epoch);
-    if (cache_.Lookup(keys[i], &outcomes[i].response)) {
-      outcomes[i].response.stats.cache_hits = 1;
-      outcomes[i].response.stats.cache_misses = 0;
-      outcomes[i].response.stats.seconds = timer.ElapsedSeconds();
+    keys[i] = ResultCache::KeyFor(backend, request, view.epoch);
+    if (cache_.Lookup(keys[i], &outcome.response)) {
+      // The cached answer is already sorted and capped; a stream replays
+      // it through the sink.
+      if (sink != nullptr) {
+        for (const AlignmentHit& hit : outcome.response.hits) {
+          if (!(*sink)(hit)) break;
+        }
+      }
+      outcome.response.stats.cache_hits = 1;
+      outcome.response.stats.cache_misses = 0;
+      outcome.response.stats.seconds = timer.ElapsedSeconds();
       continue;
     }
-    // Compile against the effective token (replacing the caller's in the
-    // plan): engines under this plan observe caller cancellation AND the
-    // scheduler's default deadline AND a scheduler Shutdown, whichever
-    // fires first. Neither token nor allow_partial is fingerprinted, so
-    // cache keys are unaffected.
     admit_span.End();
     obs::ScopedSpan compile_span(traces[i], "compile", roots[i]);
-    tokens.emplace_back(requests[i].cancel);
+    // RequiredSpan is the tombstone guard (and BLAST window) for this
+    // query; also the value ValidateSpan just checked against the overlap.
+    Query& q = queries.emplace_back(view, i, request,
+                                    RequiredSpan(backend, request), sink,
+                                    traces[i], roots[i]);
     if (default_deadline_ms_ > 0) {
-      tokens.back().SetDeadlineAfter(
+      q.effective.SetDeadlineAfter(
           std::chrono::milliseconds(default_deadline_ms_));
     }
-    api::SearchRequest uncapped = requests[i];
+    // Compile against the cap token (replacing the caller's in the plan):
+    // engines under this plan observe caller cancellation AND the
+    // scheduler's default deadline AND a scheduler Shutdown AND the
+    // merger's cap, whichever fires first. Neither token nor allow_partial
+    // is fingerprinted, so cache keys are unaffected.
+    api::SearchRequest uncapped = request;
     uncapped.max_hits = 0;
-    uncapped.cancel = &tokens.back();
+    uncapped.cancel = &q.cap;
     api::StatusOr<std::unique_ptr<api::QueryPlan>> plan =
         aligners[0]->Compile(std::move(uncapped));
     if (!plan.ok()) {
-      outcomes[i].status = plan.status();
-      tokens.pop_back();
+      outcome.status = plan.status();
+      queries.pop_back();
       continue;
     }
-    plans[i] = std::move(*plan);
-    live.push_back(i);
+    q.plan = std::move(*plan);
+    q.fused = UseFusedWalk(*q.plan, request.max_hits);
+    if (q.fused && inst_.fused_queries != nullptr) inst_.fused_queries->Add();
   }
-  if (live.empty()) return outcomes;
+  if (queries.empty()) return outcomes;
   {
     // Register the effective tokens; if Shutdown won the race since this
-    // batch was admitted, its cancel sweep missed them — fire them here so
-    // the batch still winds down promptly.
+    // call was admitted, its cancel sweep missed them — fire them here so
+    // the call still winds down promptly.
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    for (CancelToken& token : tokens) {
-      inflight_.insert(&token);
-      if (shutdown_) token.Cancel();
+    for (Query& q : queries) {
+      inflight_.insert(&q.effective);
+      if (shutdown_) q.effective.Cancel();
     }
   }
 
-  // Fan out. Every live query needs every slice; micro-batching packs up
-  // to batch_size same-backend queries into one pool task so the task
-  // dispatch (and the slice's index going cold) is paid per group. For
-  // the built-in ALAE backend a group is ONE task running the fused
-  // union-trie walk (all slices share the query's fork DP); for the other
-  // backends a group spawns one task per slice.
-  const size_t group = batch_size_;
-  const bool fused = fuse_alae_shards_ && aligners[0]->name() == "alae";
-  const size_t tasks_per_group = fused ? 1 : slices;
-  if (fused && inst_.fused_queries != nullptr) {
-    inst_.fused_queries->Add(live.size());
+  // Micro-batching: up to batch_size consecutive queries of one execution
+  // mode form a group whose tasks run the whole group — one task for a
+  // fused group, one per slice otherwise — so task dispatch (and the
+  // slice's index going cold) is paid once per group.
+  struct Group {
+    size_t begin, end, tasks;
+  };
+  std::vector<Group> groups;
+  for (size_t k = 0; k < queries.size();) {
+    size_t end = k + 1;
+    while (end < queries.size() && end - k < batch_size_ &&
+           queries[end].fused == queries[k].fused) {
+      ++end;
+    }
+    groups.push_back({k, end, queries[k].fused ? size_t{1} : slices});
+    k = end;
   }
-  // deque: HitMerger carries a mutex and must be constructed in place.
-  std::deque<HitMerger> mergers;
-  for (size_t k = 0; k < live.size(); ++k) {
-    mergers.emplace_back(view, guards[live[k]]);
-  }
-  std::vector<ErrorSlot> errors(live.size());
 
-  // A batch's full fan-out may legitimately exceed the queue bound, and a
+  // A call's full fan-out may legitimately exceed the queue bound, and a
   // single all-or-nothing submit would then reject it forever no matter
-  // how idle the pool is. Split the live queries into waves whose task
-  // count fits the queue, admit each wave all-or-nothing, and wait between
-  // waves; a wave shed by *competing* traffic marks only its own queries
-  // kResourceExhausted (retrying those can genuinely succeed later).
-  size_t wave_queries = live.size();
-  if (tasks_per_group * ((live.size() + group - 1) / group) >
-      pool_.queue_capacity()) {
-    wave_queries = pool_.queue_capacity() / tasks_per_group * group;
-  }
-  if (wave_queries == 0) {
-    // The queue cannot hold even one query's fan-out: a configuration
-    // misfit, not transient load.
-    api::Status misfit = api::Status::ResourceExhausted(
-        "one query fans out into " + std::to_string(tasks_per_group) +
-        " slice tasks but the service queue holds only " +
-        std::to_string(pool_.queue_capacity()) +
-        "; raise queue_capacity to at least the slice count");
-    for (size_t k = 0; k < live.size(); ++k) {
-      outcomes[live[k]].status = misfit;
+  // how idle the pool is. Admit the groups in waves whose task count fits
+  // the queue, all-or-nothing per wave, waiting between waves; a wave shed
+  // by *competing* traffic marks only its own queries kResourceExhausted
+  // (retrying those can genuinely succeed later).
+  for (size_t g = 0; g < groups.size();) {
+    size_t wave_end = g;
+    size_t num_tasks = 0;
+    while (wave_end < groups.size() &&
+           num_tasks + groups[wave_end].tasks <= pool_.queue_capacity()) {
+      num_tasks += groups[wave_end++].tasks;
     }
-    return outcomes;
-  }
-  for (size_t wave = 0; wave < live.size(); wave += wave_queries) {
-    const size_t wave_end = std::min(live.size(), wave + wave_queries);
-    const size_t num_groups = (wave_end - wave + group - 1) / group;
-    const size_t num_tasks = tasks_per_group * num_groups;
+    if (wave_end == g) {
+      // The queue cannot hold even one query's fan-out: a configuration
+      // misfit, not transient load.
+      api::Status misfit = api::Status::ResourceExhausted(
+          "one query fans out into " + std::to_string(groups[g].tasks) +
+          " slice tasks but the service queue holds only " +
+          std::to_string(pool_.queue_capacity()) +
+          "; raise queue_capacity to at least the slice count");
+      for (size_t k = groups[g].begin; k < groups[g].end; ++k) {
+        queries[k].error.Record(misfit);
+      }
+      ++g;
+      continue;
+    }
     TaskGroup done(num_tasks);
     // Queue-wait accounting for traced queries: stamped just before the
     // wave submits, read by the first task that starts running the query.
     int64_t submit_ns = 0;
     std::vector<std::function<void()>> tasks;
     tasks.reserve(num_tasks);
-    if (fused) {
-      for (size_t g = wave; g < wave_end; g += group) {
-        const size_t g_end = std::min(wave_end, g + group);
-        tasks.push_back([this, g, g_end, &view, &live, &plans, &aligners,
-                         &mergers, &errors, &done, &traces, &roots,
-                         &submit_ns] {
+    for (size_t w = g; w < wave_end; ++w) {
+      for (size_t s = 0; s < groups[w].tasks; ++s) {
+        tasks.push_back([this, group = groups[w], s, &view, &aligners,
+                         &queries, &done, &submit_ns] {
           int64_t start_ns = 0;
-          for (size_t k = g; k < g_end; ++k) {
-            obs::Trace* trace = traces[live[k]];
-            const int root = roots[live[k]];
-            if (trace != nullptr) {
+          for (size_t k = group.begin; k < group.end; ++k) {
+            Query& q = queries[k];
+            // One queue span per query (slice 0's task), not one per
+            // slice: the per-slice waits overlap and would double-book
+            // the tree.
+            if (s == 0 && q.trace != nullptr) {
               if (start_ns == 0) start_ns = obs::Trace::NowNanos();
-              trace->AddSpan("queue", submit_ns, start_ns, root);
+              q.trace->AddSpan("queue", submit_ns, start_ns, q.root);
             }
-            api::Status status = RunFusedQuery(view, *plans[live[k]], aligners,
-                                               &mergers[k], trace, root);
-            if (!status.ok()) errors[k].Record(std::move(status));
+            api::Status status = q.fused
+                                     ? RunFused(view, &q)
+                                     : RunSlice(view, s, aligners[s], &q);
+            if (!status.ok()) q.error.Record(std::move(status));
           }
           done.Done();
         });
-      }
-    } else {
-      for (size_t s = 0; s < slices; ++s) {
-        for (size_t g = wave; g < wave_end; g += group) {
-          const size_t g_end = std::min(wave_end, g + group);
-          const api::Aligner* aligner = aligners[s];
-          tasks.push_back([this, s, g, g_end, aligner, &view, &live, &plans,
-                           &mergers, &errors, &done, &traces, &roots,
-                           &submit_ns] {
-            int64_t start_ns = 0;
-            for (size_t k = g; k < g_end; ++k) {
-              obs::Trace* trace = traces[live[k]];
-              const int root = roots[live[k]];
-              // One queue span per query (slice 0's task), not one per
-              // slice: the per-slice waits overlap and would double-book
-              // the tree.
-              if (s == 0 && trace != nullptr) {
-                if (start_ns == 0) start_ns = obs::Trace::NowNanos();
-                trace->AddSpan("queue", submit_ns, start_ns, root);
-              }
-              // The shared plan carries max_hits = 0 (see admission), so
-              // every slice streams its full owned answer; the global cap
-              // is applied by HitMerger::Take on the sorted merged set —
-              // which is exactly the unsharded prefix.
-              api::Status status =
-                  RunSliceQuery(view, s, aligner, *plans[live[k]], &mergers[k],
-                                trace, root);
-              if (!status.ok()) errors[k].Record(std::move(status));
-            }
-            done.Done();
-          });
-        }
       }
     }
     if (any_trace) submit_ns = obs::Trace::NowNanos();
@@ -663,272 +656,41 @@ std::vector<api::QueryOutcome> QueryScheduler::SearchBatch(
                     std::to_string(pool_.queue_capacity()) +
                     " tasks queued, this wave needs " +
                     std::to_string(num_tasks) + "); retry with backoff");
-      for (size_t k = wave; k < wave_end; ++k) {
-        errors[k].Record(refused);
+      for (size_t k = groups[g].begin; k < groups[wave_end - 1].end; ++k) {
+        queries[k].error.Record(refused);
       }
-      continue;
+    } else {
+      done.Wait();
     }
-    done.Wait();
+    g = wave_end;
   }
 
-  for (size_t k = 0; k < live.size(); ++k) {
-    const size_t i = live[k];
-    if (api::Status status = errors[k].Take(); !status.ok()) {
-      outcomes[i].status = status;
+  for (Query& q : queries) {
+    api::QueryOutcome& outcome = outcomes[q.index];
+    if (api::Status status = q.error.Take(); !status.ok()) {
+      outcome.status = status;
       continue;
     }
-    obs::ScopedSpan merge_span(traces[i], "merge", roots[i]);
-    api::SearchResponse response = mergers[k].Take(requests[i].max_hits);
-    merge_span.End();
-    response.stats.delta_shards = num_deltas;
+    obs::ScopedSpan merge_span(q.trace, "merge", q.root);
+    api::SearchResponse response = q.merger.Take();
+    response.stats.delta_shards = view.NumDeltaSlices();
     response.stats.compactions = view.compactions;
-    // Cache the computed payload without this call's cache or compile
-    // accounting — a later hit reports its own counters and compiled
-    // nothing. A deadline-truncated partial is NOT the answer this key
-    // stands for; caching it would serve missing hits until the epoch
-    // turns, so partials are merged to the caller and forgotten.
-    if (!response.stats.truncated_by_deadline) {
-      cache_.Insert(keys[i], response);
+    // Cache the answer without this call's cache or compile accounting — a
+    // later hit reports its own counters and compiled nothing. Neither a
+    // deadline-truncated partial nor a prefix the *sink* chose to cut is
+    // the answer the key stands for (the key carries max_hits, not the
+    // sink's stopping point): both are returned and forgotten. A genuine
+    // max_hits cap IS the keyed answer.
+    if (!response.stats.truncated_by_deadline && !q.merger.sink_stopped()) {
+      cache_.Insert(keys[q.index], response);
     }
-    response.stats.plan_compile_ns = plans[i]->compile_ns();
+    merge_span.End();
+    response.stats.plan_compile_ns = q.plan->compile_ns();
     response.stats.cache_misses = 1;
     response.stats.seconds = timer.ElapsedSeconds();
-    outcomes[i].response = std::move(response);
+    outcome.response = std::move(response);
   }
   return outcomes;
-}
-
-api::Status QueryScheduler::RunStreamSlice(const CorpusView& view, size_t slice,
-                                           const api::Aligner* aligner,
-                                           const api::QueryPlan& plan,
-                                           StreamMerger* merger,
-                                           obs::Trace* trace, int root) {
-  obs::ScopedSpan execute_span(trace, "execute", root);
-  if (shard_cache_.capacity() > 0) {
-    // Lookup only: a streamed run may be cut short by the cap at any
-    // moment, which would leave a raw fragment incomplete — fragments are
-    // inserted exclusively by the buffered (SearchBatch) path.
-    const std::string fkey =
-        ResultCache::FragmentKeyFor(view.slices[slice].content_key, plan);
-    api::SearchResponse fragment;
-    if (shard_cache_.Lookup(fkey, &fragment)) {
-      for (const AlignmentHit& hit : fragment.hits) {
-        if (!merger->Publish(slice, hit)) break;
-      }
-      api::EngineStats stats;
-      stats.shard_cache_hits = 1;
-      merger->Close(slice, stats);
-      return api::Status::Ok();
-    }
-  }
-  api::EngineStats stats;
-  api::Status status = aligner->Search(
-      plan,
-      [merger, slice](const AlignmentHit& hit) {
-        return merger->Publish(slice, hit);
-      },
-      &stats);
-  // Close unconditionally (exactly once per slice): even a failed slice
-  // merged its stats and must unblock buffered successors — the overall
-  // request fails through the error slot, not through a stalled merge.
-  merger->Close(slice, stats);
-  if (!status.ok()) {
-    if (merger->cap_satisfied() && (status.code() == api::StatusCode::kCancelled ||
-                                    status.code() ==
-                                        api::StatusCode::kDeadlineExceeded)) {
-      // The cap token aborted this slice because the stream is already
-      // satisfied: that is the short-circuit working, not a failure.
-      return api::Status::Ok();
-    }
-    return SliceError(slice, status);
-  }
-  return api::Status::Ok();
-}
-
-api::StatusOr<api::EngineStats> QueryScheduler::SearchStream(
-    std::string_view backend, const api::SearchRequest& request,
-    const api::HitSink& sink) {
-  if (inst_.requests_stream != nullptr) inst_.requests_stream->Add();
-  // Caller-supplied traces are finished by the caller (the net front-end
-  // appends serialize spans after the scheduler is done); sampled traces
-  // are closed and offered to the slow-query log here.
-  obs::Trace* trace = request.trace;
-  std::unique_ptr<obs::Trace> owned;
-  if (trace == nullptr) {
-    owned = tracer_.MaybeSample();
-    trace = owned.get();
-  }
-  const int root = trace != nullptr ? trace->BeginSpan("search") : -1;
-  api::StatusOr<api::EngineStats> result =
-      SearchStreamImpl(backend, request, sink, trace, root);
-  if (trace != nullptr) trace->EndSpan(root);
-  tracer_.Finish(std::move(owned));
-  if (result.ok()) {
-    RecordResult(api::Status::Ok(), &*result);
-  } else {
-    RecordResult(result.status(), nullptr);
-  }
-  return result;
-}
-
-api::StatusOr<api::EngineStats> QueryScheduler::SearchStreamImpl(
-    std::string_view backend, const api::SearchRequest& request,
-    const api::HitSink& sink, obs::Trace* trace, int root) {
-  Timer timer;
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    if (shutdown_) return api::Status::Cancelled("scheduler is shut down");
-    ++active_batches_;
-  }
-  // Effective token: observes the caller's token, carries the scheduler
-  // default deadline, and is registered in inflight_ so Shutdown fires it.
-  CancelToken effective(request.cancel);
-  if (default_deadline_ms_ > 0) {
-    effective.SetDeadlineAfter(std::chrono::milliseconds(default_deadline_ms_));
-  }
-  bool registered = false;
-  struct StreamExit {
-    QueryScheduler* self;
-    CancelToken* token;
-    bool* registered;
-    ~StreamExit() {
-      std::lock_guard<std::mutex> lock(self->lifecycle_mu_);
-      if (*registered) self->inflight_.erase(token);
-      --self->active_batches_;
-      self->lifecycle_cv_.notify_all();
-    }
-  } exit_guard{this, &effective, &registered};
-
-  obs::ScopedSpan admit_span(trace, "admit", root);
-  const CorpusView view = source_.Snapshot();
-  const size_t slices = view.slices.size();
-
-  std::vector<const api::Aligner*> aligners;
-  aligners.reserve(slices);
-  for (size_t s = 0; s < slices; ++s) {
-    api::StatusOr<const api::Aligner*> aligner =
-        view.slices[s].aligner_for(backend);
-    if (!aligner.ok()) return aligner.status();
-    aligners.push_back(*aligner);
-  }
-
-  if (api::Status status = aligners[0]->Validate(request); !status.ok()) {
-    return status;
-  }
-  if (request.cancel != nullptr) {
-    switch (request.cancel->ExpiredWhy()) {
-      case CancelToken::Why::kCancelled:
-        return api::Status::Cancelled("request cancelled before admission");
-      case CancelToken::Why::kDeadline: {
-        if (!request.allow_partial) {
-          return api::Status::DeadlineExceeded(
-              "deadline expired before admission");
-        }
-        api::EngineStats stats;
-        stats.truncated = true;
-        stats.truncated_by_deadline = true;
-        stats.seconds = timer.ElapsedSeconds();
-        return stats;  // empty partial stream
-      }
-      case CancelToken::Why::kNone:
-        break;
-    }
-  }
-  if (api::Status status = view.ValidateSpan(backend, request); !status.ok()) {
-    return status;
-  }
-  const int64_t guard = RequiredSpan(backend, request);
-  const std::string key = ResultCache::KeyFor(backend, request, view.epoch);
-  {
-    api::SearchResponse cached;
-    if (cache_.Lookup(key, &cached)) {
-      // Replay the cached (already sorted, already capped) answer through
-      // the sink — a stream and a buffered Search share this cache.
-      for (const AlignmentHit& hit : cached.hits) {
-        if (!sink(hit)) break;
-      }
-      api::EngineStats stats = cached.stats;
-      stats.cache_hits = 1;
-      stats.cache_misses = 0;
-      stats.seconds = timer.ElapsedSeconds();
-      return stats;
-    }
-  }
-
-  admit_span.End();
-  obs::ScopedSpan compile_span(trace, "compile", root);
-  // The cap token is what the engines observe: it inherits the effective
-  // token's cancellation/deadline AND fires on its own when the merger
-  // satisfies max_hits (or the sink stops) — the streaming short-circuit.
-  CancelToken cap(&effective);
-  api::SearchRequest uncapped = request;
-  uncapped.max_hits = 0;  // slices stream their full owned answer
-  uncapped.cancel = &cap;
-  api::StatusOr<std::unique_ptr<api::QueryPlan>> plan =
-      aligners[0]->Compile(std::move(uncapped));
-  if (!plan.ok()) return plan.status();
-  compile_span.End();
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    inflight_.insert(&effective);
-    registered = true;
-    if (shutdown_) effective.Cancel();
-  }
-
-  StreamMerger merger(view, guard, request.max_hits, sink, &cap);
-  ErrorSlot error;
-  TaskGroup done(slices);
-  int64_t submit_ns = 0;  // stamped just before the batch submits
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(slices);
-  for (size_t s = 0; s < slices; ++s) {
-    const api::Aligner* aligner = aligners[s];
-    const api::QueryPlan* compiled = plan->get();
-    tasks.push_back([this, s, aligner, compiled, &view, &merger, &error,
-                     &done, trace, root, &submit_ns] {
-      // One queue span for the stream (slice 0's task); per-slice waits
-      // overlap and would double-book the tree.
-      if (s == 0 && trace != nullptr) {
-        trace->AddSpan("queue", submit_ns, obs::Trace::NowNanos(), root);
-      }
-      api::Status status =
-          RunStreamSlice(view, s, aligner, *compiled, &merger, trace, root);
-      if (!status.ok()) error.Record(std::move(status));
-      done.Done();
-    });
-  }
-  if (trace != nullptr) submit_ns = obs::Trace::NowNanos();
-  if (!pool_.TrySubmitBatch(std::move(tasks))) {
-    return pool_.IsShutdown()
-               ? api::Status::Cancelled("scheduler is shutting down")
-               : api::Status::ResourceExhausted(
-                     "service queue is full (" +
-                     std::to_string(pool_.QueueDepth()) + "/" +
-                     std::to_string(pool_.queue_capacity()) +
-                     " tasks queued, this stream needs " +
-                     std::to_string(slices) + "); retry with backoff");
-  }
-  done.Wait();
-  if (api::Status status = error.Take(); !status.ok()) return status;
-
-  api::EngineStats stats = merger.TakeStats();
-  stats.delta_shards = view.NumDeltaSlices();
-  stats.compactions = view.compactions;
-  // Cache the completed stream for later Search/SearchStream calls. A
-  // deadline-truncated partial is not the key's answer; neither is a
-  // prefix the *sink* chose to cut (the key carries max_hits, not the
-  // sink's stopping point). A genuine max_hits cap IS the keyed answer —
-  // identical to the truncation Search would cache.
-  if (!stats.truncated_by_deadline && !merger.sink_stopped()) {
-    api::SearchResponse response;
-    response.hits = merger.emitted();
-    response.stats = stats;
-    cache_.Insert(key, response);
-  }
-  stats.plan_compile_ns = (*plan)->compile_ns();
-  stats.cache_misses = 1;
-  stats.seconds = timer.ElapsedSeconds();
-  return stats;
 }
 
 }  // namespace service

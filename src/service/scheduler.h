@@ -4,8 +4,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -21,9 +21,6 @@
 
 namespace alae {
 namespace service {
-
-class HitMerger;
-class StreamMerger;
 
 struct SchedulerOptions {
   // Worker threads; <= 0 picks hardware concurrency.
@@ -46,20 +43,10 @@ struct SchedulerOptions {
   // invalidates the whole-response cache above; 0 disables the tier.
   size_t shard_cache_capacity = 0;
 
-  // SearchBatch micro-batching: up to this many same-backend queries ride
-  // one shard task, so a task switch (and the shard index going cold) is
-  // paid once per group rather than once per query.
+  // SearchBatch micro-batching: up to this many consecutive queries of one
+  // execution mode ride one task, so a task switch (and the shard index
+  // going cold) is paid once per group rather than once per query.
   size_t batch_size = 8;
-
-  // Fused execution for the built-in ALAE backend: one engine walk over
-  // the union of the slices' suffix tries per query, sharing the fork DP
-  // across slices (per-slice work reduces to occurrence anchoring +
-  // descent — see Alae::RunSharded). This flattens the per-slice fixed
-  // query cost; results are bit-exact either way. A fused query is one
-  // pool task instead of one per slice, so it trades intra-query
-  // parallelism for strictly less total work — batch throughput wins,
-  // single-query latency on an idle many-core box may prefer `false`.
-  bool fuse_alae_shards = true;
 
   // Default deadline imposed on every query (0 = none). Each query runs
   // under a scheduler-owned token that carries this deadline AND observes
@@ -90,21 +77,32 @@ struct SchedulerOptions {
 };
 
 // The multi-tenant front door of the sharded query service: snapshots the
-// corpus source once per batch, compiles each request into a QueryPlan
-// once (slice 0's aligner; plans are index-independent), fans the work
-// across the snapshot's slices — base shards plus any live-corpus delta
-// shards — as pool tasks that share the plan (fused into one union-trie
-// walk for ALAE, one task per slice otherwise), merges the per-slice
-// streams through a HitMerger with ownership and tombstone filtering, and
-// answers repeats from two cache tiers: the epoch-keyed whole-response
-// LRU and the content-keyed shard-fragment LRU.
+// corpus source once per call, compiles each request into a QueryPlan once
+// (slice 0's aligner; plans are index-independent), runs it over the
+// snapshot's slices — base shards plus any live-corpus delta shards — and
+// merges the slice streams through a StreamMerger with ownership and
+// tombstone filtering. Search, SearchBatch and SearchStream are one
+// execution path (Execute); they differ only in where the merged hits go.
 //
-// Thread-safe: any number of client threads may call Search/SearchBatch
-// concurrently; they share the worker pool and the caches. Mutating a
-// LiveCorpus source concurrently is safe (each batch works off its own
-// snapshot). Destroying the scheduler while calls are in flight is safe:
-// the destructor runs Shutdown(), which cancels every in-flight query
-// (they return kCancelled), waits them out, and drains the pool.
+// Fusion policy (UseFusedWalk in scheduler.cc): an uncapped query of the
+// built-in ALAE backend runs as ONE pool task walking the union of the
+// slices' suffix tries, so each distinct path's fork DP is computed once
+// for all slices (Alae::RunSharded); its lanes are then published sorted
+// in owned-interval order. Every other query — other backends, and a
+// capped (max_hits > 0) ALAE query, whose early slices can stop the later
+// ones — runs one task per slice.
+//
+// Repeats are answered from two cache tiers: the epoch-keyed
+// whole-response LRU and the content-keyed shard-fragment LRU. Any slice
+// that runs to completion stores its raw, sorted hit list as a fragment;
+// the fused walk covers only the lanes whose fragment missed.
+//
+// Thread-safe: any number of client threads may call Search/SearchBatch/
+// SearchStream concurrently; they share the worker pool and the caches.
+// Mutating a LiveCorpus source concurrently is safe (each call works off
+// its own snapshot). Destroying the scheduler while calls are in flight is
+// safe: the destructor runs Shutdown(), which cancels every in-flight
+// query (they return kCancelled), waits them out, and drains the pool.
 //
 // Deadlines and cancellation: a request's CancelToken (and the scheduler's
 // default_deadline_ms) bound each query cooperatively — engines poll every
@@ -120,8 +118,8 @@ class QueryScheduler {
 
   ~QueryScheduler();
 
-  // Graceful shutdown: refuses new batches (kCancelled), cancels the
-  // tokens of every in-flight query, waits for those batches to return to
+  // Graceful shutdown: refuses new calls (kCancelled), cancels the
+  // tokens of every in-flight query, waits for those calls to return to
   // their callers, then closes and joins the pool. Idempotent; safe to
   // call while clients are still issuing Search calls.
   void Shutdown();
@@ -135,10 +133,12 @@ class QueryScheduler {
   api::StatusOr<api::SearchResponse> Search(std::string_view backend,
                                             const api::SearchRequest& request);
 
-  // Micro-batched form: same-backend requests are grouped `batch_size` to
-  // a slice task. Outcomes come back in input order, each with its own
-  // Status — one bad query never takes down its neighbours (same contract
-  // as MultiQueryDriver::RunEach).
+  // Micro-batched form: up to `batch_size` consecutive requests of one
+  // execution mode share a pool task (a fused group is one task, a
+  // per-slice group one task per slice), admitted in queue-sized waves.
+  // Outcomes come back in input order, each with its own Status — one bad
+  // query never takes down its neighbours (same contract as
+  // MultiQueryDriver::RunEach).
   std::vector<api::QueryOutcome> SearchBatch(
       std::string_view backend,
       const std::vector<api::SearchRequest>& requests);
@@ -156,9 +156,9 @@ class QueryScheduler {
   // Short-circuit: once max_hits hits have been emitted (or the sink
   // returns false), a cap token fires and every still-running slice aborts
   // at its next cancellation poll, so a small max_hits costs a fraction of
-  // the full answer. Streaming always runs one task per slice (never the
-  // fused ALAE walk — fusion produces unordered results, which would force
-  // buffering the very stream this call exists to avoid).
+  // the full answer. That is why a capped request runs per slice; an
+  // uncapped ALAE stream takes the fused walk, whose lanes reach the sink
+  // only once the walk is done.
   //
   // The sink runs under the merger's lock on pool worker threads: keep it
   // fast, never call back into the scheduler from it.
@@ -210,40 +210,32 @@ class QueryScheduler {
   // for failures; latency, cache-tier and engine DpCounters for answers.
   void RecordResult(const api::Status& status, const api::EngineStats* stats);
 
-  // Executes one compiled query against one slice: fragment-cache lookup,
-  // engine run on miss (raw slice-local hits; the fragment inserted before
-  // merging), MergeSlice either way. `trace`/`root` (nullable / -1) hang
-  // an "execute" span under the request's root span.
-  api::Status RunSliceQuery(const CorpusView& view, size_t slice,
-                            const api::Aligner* aligner,
-                            const api::QueryPlan& plan, HitMerger* merger,
-                            obs::Trace* trace, int root);
+  // One admitted query's execution state; defined in scheduler.cc.
+  struct Query;
 
-  // Executes one compiled query against every slice inside one pool task:
-  // the fused ALAE walk when the plan supports it (all-or-nothing against
-  // the fragment cache), else a serial per-slice loop.
-  api::Status RunFusedQuery(const CorpusView& view, const api::QueryPlan& plan,
-                            const std::vector<const api::Aligner*>& aligners,
-                            HitMerger* merger, obs::Trace* trace, int root);
+  // The one request body behind Search, SearchBatch and SearchStream:
+  // lifecycle registration, validation, the pre-admission cancel check,
+  // the response-cache lookup, compile, all-or-nothing admission of the
+  // fan-out in queue-sized waves, and the response-cache insert. `sink`
+  // (nullable) receives each request's hits as they merge; outcomes carry
+  // the collected answer either way. `verb` counts the requests.
+  std::vector<api::QueryOutcome> Execute(
+      std::string_view backend, std::span<const api::SearchRequest> requests,
+      const api::HitSink* sink, obs::Counter* verb);
 
-  // Streaming sibling of RunSliceQuery: publishes each engine hit into the
-  // StreamMerger as it is produced (fragment-cache lookups replay the
-  // cached raw stream; inserts are skipped — a capped run leaves fragments
-  // incomplete). Converts cap-token cancellation into success.
-  api::Status RunStreamSlice(const CorpusView& view, size_t slice,
-                             const api::Aligner* aligner,
-                             const api::QueryPlan& plan, StreamMerger* merger,
-                             obs::Trace* trace, int root);
+  // Per-slice executor: replays the slice's cached fragment, or streams
+  // one engine run into the query's merger (storing the fragment when the
+  // run completed). Converts cap-token cancellation into success.
+  api::Status RunSlice(const CorpusView& view, size_t slice,
+                       const api::Aligner* aligner, Query* query);
 
-  // SearchStream's body; the public wrapper owns trace sampling, the
-  // root span and result recording around it.
-  api::StatusOr<api::EngineStats> SearchStreamImpl(
-      std::string_view backend, const api::SearchRequest& request,
-      const api::HitSink& sink, obs::Trace* trace, int root);
+  // Fused executor: one Alae::RunSharded walk over the slices whose
+  // fragment missed, then every slice published sorted in owned-interval
+  // order.
+  api::Status RunFused(const CorpusView& view, Query* query);
 
   const CorpusSource& source_;
   const size_t batch_size_;
-  const bool fuse_alae_shards_;
   const int64_t default_deadline_ms_;
   obs::MetricsRegistry* const registry_;  // never null (Default() fallback)
   const Instruments inst_;
@@ -251,14 +243,14 @@ class QueryScheduler {
   ResultCache cache_;
   ResultCache shard_cache_;
 
-  // Shutdown lifecycle. Every SearchBatch registers under lifecycle_mu_
+  // Shutdown lifecycle. Every Execute registers under lifecycle_mu_
   // (refused once shutdown_ is set) and registers its queries' effective
-  // cancel tokens in inflight_ so Shutdown can fire them all; the batch
+  // cancel tokens in inflight_ so Shutdown can fire them all; the call
   // deregisters before returning and signals lifecycle_cv_.
   std::mutex lifecycle_mu_;
   std::condition_variable lifecycle_cv_;
   bool shutdown_ = false;
-  size_t active_batches_ = 0;
+  size_t active_calls_ = 0;
   std::unordered_set<CancelToken*> inflight_;
 
   ThreadPool pool_;  // declared last: workers must die before the caches

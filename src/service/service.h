@@ -11,7 +11,7 @@
 // ShardedCorpus partitions the text into overlapping shards, each with its
 // own FM-index and per-backend Aligners; QueryScheduler fans requests
 // across the slices of a CorpusSource snapshot on a bounded ThreadPool,
-// merges the per-slice streams through HitMerger, and serves repeats from
+// merges the per-slice streams through StreamMerger, and serves repeats from
 // an LRU ResultCache (plus an optional content-keyed fragment cache). For
 // a corpus that changes while being served, LiveCorpus layers delta shards
 // and tombstones over an immutable base with background compaction:

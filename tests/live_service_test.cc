@@ -196,13 +196,28 @@ TEST(LiveServiceConcurrency, FragmentCacheSurvivesAppendsAndEpochBumps) {
   EXPECT_EQ(second->stats.shard_cache_misses, 1u)
       << "only the new delta slice should have run";
 
-  // The fused ALAE path reuses fragments all-or-nothing per snapshot.
+  // The fused ALAE path reuses fragments per slice: the walk covers only
+  // the lanes whose fragment missed, so after an append only the new
+  // delta lane runs.
   api::StatusOr<SearchResponse> fused_cold = scheduler.Search("alae", request);
   ASSERT_TRUE(fused_cold.ok()) << fused_cold.status().ToString();
   api::StatusOr<SearchResponse> fused_warm = scheduler.Search("alae", request);
   ASSERT_TRUE(fused_warm.ok()) << fused_warm.status().ToString();
   EXPECT_GT(fused_warm->stats.shard_cache_hits, 0u);
+  EXPECT_EQ(fused_warm->stats.shard_cache_misses, 0u);
   EXPECT_EQ(fused_warm->hits, fused_cold->hits);
+  ASSERT_TRUE(
+      live->AppendDocument(gen.Random(120, Alphabet::Dna())).ok());
+  api::StatusOr<SearchResponse> fused_appended =
+      scheduler.Search("alae", request);
+  ASSERT_TRUE(fused_appended.ok()) << fused_appended.status().ToString();
+  EXPECT_GT(fused_appended->stats.shard_cache_hits, 0u)
+      << "base-slice fragments were not reused by the fused walk";
+  EXPECT_EQ(fused_appended->stats.shard_cache_misses, 1u)
+      << "only the new delta lane should have been walked";
+  api::StatusOr<SearchResponse> per_slice = scheduler.Search("sw", request);
+  ASSERT_TRUE(per_slice.ok()) << per_slice.status().ToString();
+  EXPECT_EQ(fused_appended->hits, per_slice->hits);
 
   // A compaction replaces the base: its fragments are dead by key, so the
   // next run misses — and repopulates under the new content identity.

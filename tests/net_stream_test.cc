@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/service/hit_merger.h"
 #include "src/service/service.h"
 #include "src/sim/generator.h"
@@ -81,13 +82,14 @@ TEST(StreamMerger, BuffersHigherRanksUntilLowerRanksClose) {
   EXPECT_EQ(seen[4].text_end, 19);
   merger.Close(1, api::EngineStats());
 
-  // Emitted mirrors the sink stream and is globally sorted.
-  EXPECT_EQ(merger.emitted(), seen);
+  // The collected answer mirrors the sink stream and is globally sorted.
   for (size_t i = 1; i < seen.size(); ++i) {
     EXPECT_LT(seen[i - 1].text_end, seen[i].text_end);
   }
   EXPECT_FALSE(merger.cap_satisfied());
-  EXPECT_EQ(merger.TakeStats().hits_emitted, 5u);
+  const SearchResponse taken = merger.Take();
+  EXPECT_EQ(taken.hits, seen);
+  EXPECT_EQ(taken.stats.hits_emitted, 5u);
 }
 
 TEST(StreamMerger, OwnershipAndTombstoneFiltersApply) {
@@ -118,7 +120,7 @@ TEST(StreamMerger, OwnershipAndTombstoneFiltersApply) {
 
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0].text_end, 6);
-  EXPECT_EQ(merger.tombstone_filtered(), 1u);
+  EXPECT_EQ(merger.Take().stats.tombstone_filtered, 1u);
 }
 
 TEST(StreamMerger, CapFiresTokenAndRefusesFurtherHits) {
@@ -146,7 +148,7 @@ TEST(StreamMerger, CapFiresTokenAndRefusesFurtherHits) {
   merger.Close(0, api::EngineStats());
   merger.Close(1, api::EngineStats());
   EXPECT_EQ(delivered, 2u);
-  EXPECT_TRUE(merger.TakeStats().truncated);
+  EXPECT_TRUE(merger.Take().stats.truncated);
 }
 
 TEST(StreamMerger, SinkStopIsDistinguishedFromCap) {
@@ -251,6 +253,27 @@ TEST(SearchStream, MaxHitsPrefixIsBitExact) {
       EXPECT_EQ(prefix[i], all->hits[i]) << "cap " << cap << " position " << i;
     }
   }
+
+  // Streams replayed from shard fragments keep the order: a fused Search
+  // stores every slice's fragment, and a later stream — fused when
+  // uncapped, per slice when capped — publishes those fragments straight
+  // into the merger, so they must have been stored sorted.
+  QueryScheduler fragments(*corpus, {.threads = 2,
+                                     .cache_capacity = 0,
+                                     .shard_cache_capacity = 64});
+  api::StatusOr<SearchResponse> stored = fragments.Search("alae", full);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(stored->hits, all->hits);
+  api::EngineStats replay;
+  EXPECT_EQ(Streamed(fragments, "alae", full, &replay), all->hits);
+  EXPECT_EQ(replay.shard_cache_hits, corpus->num_shards());
+  SearchRequest capped = full;
+  capped.max_hits = all->hits.size() - 1;
+  const std::vector<AlignmentHit> prefix =
+      Streamed(fragments, "alae", capped, &replay);
+  EXPECT_GT(replay.shard_cache_hits, 0u);
+  EXPECT_EQ(prefix, std::vector<AlignmentHit>(all->hits.begin(),
+                                              all->hits.end() - 1));
 }
 
 // The point of streaming max_hits: remaining shard work is short-circuited,
@@ -271,30 +294,55 @@ TEST(SearchStream, MaxHitsShortCircuitsShardWork) {
   std::unique_ptr<ShardedCorpus> corpus = MustBuild(w.text, options);
   // One thread: the capped run cannot hide uncancelled work in slices that
   // raced ahead of the cap.
-  QueryScheduler scheduler(*corpus, {.threads = 1, .cache_capacity = 0});
+  obs::MetricsRegistry registry;
+  QueryScheduler scheduler(
+      *corpus, {.threads = 1, .cache_capacity = 0, .registry = &registry});
+  const obs::Counter* fused =
+      registry.GetCounter("alae_scheduler_fused_queries_total");
 
   SearchRequest request;
   request.query = w.queries[0];
   request.threshold = 16;
 
-  api::EngineStats full_stats;
-  const std::vector<AlignmentHit> full =
-      Streamed(scheduler, "sw", request, &full_stats);
-  ASSERT_GE(full.size(), 2u);
+  // "alae" checks the fusion policy too: the uncapped stream takes the
+  // fused walk; a capped one — even capped above the answer's size — runs
+  // per slice, so the cap can stop the slices it no longer needs.
+  for (const std::string backend : {"sw", "alae"}) {
+    const uint64_t fused_before = fused->Value();
+    const uint64_t fused_delta = backend == "alae" ? 1 : 0;
+    api::EngineStats full_stats;
+    const std::vector<AlignmentHit> full =
+        Streamed(scheduler, backend, request, &full_stats);
+    ASSERT_GE(full.size(), 2u) << backend;
+    EXPECT_EQ(fused->Value(), fused_before + fused_delta) << backend;
 
-  SearchRequest capped = request;
-  capped.max_hits = 1;
-  api::EngineStats capped_stats;
-  const std::vector<AlignmentHit> prefix =
-      Streamed(scheduler, "sw", capped, &capped_stats);
-  ASSERT_EQ(prefix.size(), 1u);
-  EXPECT_EQ(prefix[0], full[0]);
+    SearchRequest per_slice = request;
+    per_slice.max_hits = full.size() + 1;
+    api::EngineStats per_slice_stats;
+    EXPECT_EQ(Streamed(scheduler, backend, per_slice, &per_slice_stats), full)
+        << backend;
+    // Fusion computes each distinct path's fork DP once for all slices.
+    EXPECT_LE(full_stats.counters.Calculated(),
+              per_slice_stats.counters.Calculated())
+        << backend;
 
-  // The capped run must have computed strictly fewer DP cells: slices
-  // beyond the cap fast-failed or aborted at a cancellation poll.
-  EXPECT_LT(capped_stats.counters.Calculated(),
-            full_stats.counters.Calculated())
-      << "short-circuit saved no work";
+    SearchRequest capped = request;
+    capped.max_hits = 1;
+    api::EngineStats capped_stats;
+    const std::vector<AlignmentHit> prefix =
+        Streamed(scheduler, backend, capped, &capped_stats);
+    ASSERT_EQ(prefix.size(), 1u) << backend;
+    EXPECT_EQ(prefix[0], full[0]) << backend;
+    EXPECT_EQ(fused->Value(), fused_before + fused_delta)
+        << backend << ": a capped stream took the fused walk";
+
+    // The capped run must have computed strictly fewer DP cells than the
+    // same per-slice execution run to completion: slices beyond the cap
+    // fast-failed or aborted at a cancellation poll.
+    EXPECT_LT(capped_stats.counters.Calculated(),
+              per_slice_stats.counters.Calculated())
+        << backend << ": short-circuit saved no work";
+  }
 }
 
 TEST(SearchStream, SharesTheResponseCacheBothWays) {

@@ -224,13 +224,16 @@ TEST(NetServer, PipelineOverflowIsRetryableResourceExhausted) {
 }
 
 // Scheduler-level backpressure maps to the same retryable code: a queue
-// too small for one query's fan-out sheds every request.
+// too small for one query's fan-out sheds every request. (A per-slice
+// backend: an uncapped ALAE query is one fused task, which would fit.)
 TEST(NetServer, SchedulerQueueExhaustionIsRetryableOnTheWire) {
   SmallRig rig({}, SchedulerOptions{.threads = 1, .queue_capacity = 1});
   ASSERT_GT(rig.corpus->num_shards(), 1u);
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", rig.server->port()).ok());
-  api::StatusOr<NetClient::Response> response = client.Call(rig.Wire(1, 0));
+  WireRequest request = rig.Wire(1, 0);
+  request.backend = "sw";
+  api::StatusOr<NetClient::Response> response = client.Call(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status.code, WireCode::kResourceExhausted);
   EXPECT_TRUE(response->status.retryable);

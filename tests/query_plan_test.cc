@@ -14,6 +14,7 @@
 #include "src/api/api.h"
 #include "src/core/alae.h"
 #include "src/index/fm_index.h"
+#include "src/obs/metrics.h"
 #include "src/service/service.h"
 #include "src/sim/generator.h"
 #include "src/sim/workload.h"
@@ -238,9 +239,10 @@ TEST(QueryPlan, FusedShardedRunMatchesPerIndexRuns) {
 }
 
 // Scheduler differential across shard counts and both execution modes: the
-// fused fan-out and the per-shard fan-out must both be bit-exact against
-// the unsharded facade for ALAE (the full all-backend differential lives
-// in service_test).
+// fused fan-out (uncapped) and the per-shard fan-out (capped above the
+// answer's size, which the fusion policy keeps per slice) must both be
+// bit-exact against the unsharded facade for ALAE (the full all-backend
+// differential lives in service_test).
 TEST(QueryPlan, SchedulerFusedAndPerShardMatchUnshardedAcrossShardCounts) {
   WorkloadSpec spec;
   spec.text_length = 2'400;
@@ -257,17 +259,23 @@ TEST(QueryPlan, SchedulerFusedAndPerShardMatchUnshardedAcrossShardCounts) {
     options.overlap = shard_size >= 2'500 ? 0 : 180;
     auto corpus = service::ShardedCorpus::Build(w.text, options);
     ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-    for (bool fused : {true, false}) {
-      service::QueryScheduler scheduler(
-          **corpus, {.threads = 2, .fuse_alae_shards = fused});
-      for (const Sequence& query : w.queries) {
-        SearchRequest request = MakeRequest(query, 16);
+    obs::MetricsRegistry metrics;
+    service::QueryScheduler scheduler(
+        **corpus, {.threads = 2, .cache_capacity = 0, .registry = &metrics});
+    const obs::Counter* fused_queries =
+        metrics.GetCounter("alae_scheduler_fused_queries_total");
+    for (const Sequence& query : w.queries) {
+      SearchRequest request = MakeRequest(query, 16);
+      std::unique_ptr<api::Aligner> reference = *registry.Create("alae");
+      api::StatusOr<SearchResponse> unsharded = reference->Search(request);
+      ASSERT_TRUE(unsharded.ok());
+      for (bool fused : {true, false}) {
+        if (!fused) request.max_hits = unsharded->hits.size() + 1;
+        const uint64_t fused_before = fused_queries->Value();
         api::StatusOr<SearchResponse> sharded =
             scheduler.Search("alae", request);
         ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-        std::unique_ptr<api::Aligner> reference = *registry.Create("alae");
-        api::StatusOr<SearchResponse> unsharded = reference->Search(request);
-        ASSERT_TRUE(unsharded.ok());
+        EXPECT_EQ(fused_queries->Value(), fused_before + (fused ? 1 : 0));
         EXPECT_EQ(sharded->hits, unsharded->hits)
             << "shard_size " << shard_size << " fused " << fused;
         // The shared plan is compiled once and reused by every engine

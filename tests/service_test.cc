@@ -157,10 +157,23 @@ TEST(ShardedCorpus, BoundaryStraddlingHitEmittedOnce) {
   EXPECT_EQ(found, 1);
 }
 
-// Merger unit semantics: cross-shard duplicates collapse to the best score
-// and raw slice-local hits outside the producing slice's owned region are
-// dropped at merge time.
-TEST(HitMergerTest, DeduplicatesAndFiltersOwnership) {
+// Merger units on real shard geometry, through the collecting (null)
+// sink: raw slice-local hits are remapped to global coordinates, and hits
+// outside the producing slice's owned region are dropped at merge time.
+// Closes every slice, so `Take` sees a finished merge.
+SearchResponse MergeOneSlice(const CorpusView& view, int64_t guard,
+                             size_t slice,
+                             const std::vector<AlignmentHit>& raw,
+                             const api::EngineStats& stats) {
+  StreamMerger merger(view, guard, /*max_hits=*/0, nullptr, nullptr);
+  for (size_t s = 0; s < view.slices.size(); ++s) {
+    merger.PublishSlice(s, s == slice ? raw : std::vector<AlignmentHit>{},
+                        s == slice ? stats : api::EngineStats{});
+  }
+  return merger.Take();
+}
+
+TEST(StreamMergerTest, RemapsAndFiltersOwnershipOnShardGeometry) {
   SequenceGenerator gen(405);
   Sequence text = gen.Random(900, Alphabet::Dna());
   ShardedCorpusOptions options;
@@ -169,31 +182,25 @@ TEST(HitMergerTest, DeduplicatesAndFiltersOwnership) {
   std::unique_ptr<ShardedCorpus> corpus = MustBuild(text, options);
   ASSERT_GE(corpus->num_shards(), 2u);
 
-  const CorpusView view = corpus->Snapshot();
-  HitMerger merger(view, /*tombstone_guard=*/0);
   // Shard 1 starts at 200 and owns [300, 500). A shard-local hit ending at
   // 50 (global 250) is in its coverage but NOT owned -> dropped; one at
   // 150 (global 350) is owned -> kept and remapped to global coordinates.
   api::EngineStats stats;
   stats.counters.cells_cost3 = 7;
-  merger.MergeSlice(1,
-                    {AlignmentHit{50, 3, 21, 40}, AlignmentHit{150, 4, 25, 140}},
-                    stats);
-  // Duplicates of the same global end pair (as an overlap-emitting
-  // producer would generate) collapse to the best score.
-  merger.MergeSlice(1, {AlignmentHit{150, 4, 11, -1}}, api::EngineStats{});
-  merger.MergeSlice(1, {AlignmentHit{150, 4, 160, -1}}, api::EngineStats{});
-  SearchResponse merged = merger.Take(0);
+  SearchResponse merged = MergeOneSlice(
+      corpus->Snapshot(), /*guard=*/0, 1,
+      {AlignmentHit{50, 3, 21, 40}, AlignmentHit{150, 4, 25, 140}}, stats);
   ASSERT_EQ(merged.hits.size(), 1u);
   EXPECT_EQ(merged.hits[0].text_end, 350);
-  EXPECT_EQ(merged.hits[0].score, 160);
+  EXPECT_EQ(merged.hits[0].text_start, 340);
+  EXPECT_EQ(merged.hits[0].score, 25);
   EXPECT_EQ(merged.stats.counters.cells_cost3, 7u);
   EXPECT_EQ(merged.stats.hits_emitted, 1u);
 }
 
 // Tombstone suppression at merge time: any hit whose guard window touches
 // a dead span is withheld and counted; hits clear of it pass through.
-TEST(HitMergerTest, SuppressesTombstonedWindows) {
+TEST(StreamMergerTest, SuppressesTombstonedWindows) {
   SequenceGenerator gen(407);
   Sequence text = gen.Random(900, Alphabet::Dna());
   ShardedCorpusOptions options;
@@ -205,15 +212,12 @@ TEST(HitMergerTest, SuppressesTombstonedWindows) {
   view.tombstones.push_back(TombstoneSpan{7, 320, 360});
   // Guard 20: windows [text_end-19, text_end]. Shard 1 (starts at 200)
   // owns [300, 500).
-  HitMerger merger(view, /*tombstone_guard=*/20);
-  merger.MergeSlice(1, {AlignmentHit{130, 2, 21, -1},   // global 330: window
-                                                        // [311,330] hits span
-                        AlignmentHit{179, 3, 22, -1},   // global 379: window
-                                                        // [360,379] clear
-                        AlignmentHit{175, 4, 23, -1}},  // global 375: window
-                                                        // [356,375] hits span
-                    api::EngineStats{});
-  SearchResponse merged = merger.Take(0);
+  SearchResponse merged = MergeOneSlice(
+      view, /*guard=*/20, 1,
+      {AlignmentHit{130, 2, 21, -1},   // global 330: window [311,330] hits span
+       AlignmentHit{175, 4, 23, -1},   // global 375: window [356,375] hits span
+       AlignmentHit{179, 3, 22, -1}},  // global 379: window [360,379] clear
+      api::EngineStats{});
   ASSERT_EQ(merged.hits.size(), 1u);
   EXPECT_EQ(merged.hits[0].text_end, 379);
   EXPECT_EQ(merged.stats.tombstone_filtered, 2u);

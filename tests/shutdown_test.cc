@@ -113,13 +113,15 @@ TEST(ServiceShutdown, DestructionWithInflightClientsIsClean) {
     std::atomic<int> started{0};
     std::atomic<int> unexpected{0};
     constexpr int kClients = 4;
+    // Clients hold the raw pointer: reading the unique_ptr itself would
+    // race with the reset() below.
+    QueryScheduler* const target = scheduler.get();
     auto client = [&](int id) {
       SearchRequest request;
       request.query = w.queries[static_cast<size_t>(id) % w.queries.size()];
       request.threshold = 16;
       ++started;
-      api::StatusOr<SearchResponse> response =
-          scheduler->Search("alae", request);
+      api::StatusOr<SearchResponse> response = target->Search("alae", request);
       if (!response.ok() &&
           response.status().code() != StatusCode::kCancelled &&
           response.status().code() != StatusCode::kResourceExhausted) {
