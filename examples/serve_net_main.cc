@@ -44,7 +44,7 @@ struct Flags {
   int64_t shard_size = 1 << 20;
   int64_t overlap = 4096;
   int threads = 0;         // scheduler pool; 0 = hardware concurrency
-  int workers = 2;         // net admission workers
+  int workers = 0;         // net admission workers; 0 = pool threads
   uint64_t seed = 42;
   bool force_poll = false;
   int metrics_dump_sec = 0;  // dump the registry every N sec (0 = off)

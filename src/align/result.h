@@ -40,16 +40,6 @@ class ResultCollector {
   // Hits sorted by (text_end, query_end) for deterministic comparison.
   std::vector<AlignmentHit> Sorted() const;
 
-  // Unordered visitation, for consumers that re-key or re-sort anyway
-  // (e.g. the service-layer hit merger): skips Sorted()'s copy and sort.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const auto& [key, hit] : hits_) {
-      (void)key;
-      fn(hit);
-    }
-  }
-
   // The best score over all hits (0 when empty).
   int32_t BestScore() const { return best_score_; }
 

@@ -232,7 +232,10 @@ api::Status NetServer::Start() {
 
   stopping_.store(false);
   loop_thread_ = std::thread([this] { EventLoop(); });
-  const size_t workers = std::max<size_t>(1, options_.workers);
+  const size_t workers =
+      options_.workers > 0
+          ? options_.workers
+          : static_cast<size_t>(std::max(1, scheduler_->pool().threads()));
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

@@ -29,11 +29,12 @@ struct NetServerOptions {
   int port = 0;
   int backlog = 64;
 
-  // Query worker threads draining the admission ring. These only *issue*
-  // SearchStream calls — the engine parallelism underneath belongs to the
-  // scheduler's pool — so a small number suffices; it bounds how many
-  // requests are in the scheduler concurrently on this server's behalf.
-  size_t workers = 2;
+  // Query worker threads draining the admission ring; each blocks inside
+  // one SearchStream call, so this bounds how many requests are in the
+  // scheduler concurrently on this server's behalf. A fused ALAE request
+  // is a single pool task, so fewer workers than pool threads would leave
+  // cores idle under load; 0 picks the scheduler pool's thread count.
+  size_t workers = 0;
 
   // Force the portable poll() event loop even on Linux (tests exercise
   // both poller backends through this).

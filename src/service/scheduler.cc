@@ -66,14 +66,13 @@ api::Status SliceError(size_t slice, const api::Status& status) {
 }
 
 // Fusion policy. The fused union-trie walk computes each distinct path's
-// fork DP once for every slice — strictly less work than one engine run
-// per slice — but its lanes reach the merger only when the whole walk is
-// done, so a capped query keeps per-slice tasks, whose early slices can
-// satisfy the cap and stop the rest. The walk needs the typed ALAE plan (a
-// custom backend registered as "alae" compiles something else) and cannot
-// host the single-index bitset filter.
-bool UseFusedWalk(const api::QueryPlan& plan, uint64_t max_hits) {
-  return max_hits == 0 && dynamic_cast<const api::AlaePlan*>(&plan) != nullptr &&
+// fork DP once for every slice — less work than one engine run per slice,
+// even when a max_hits cap would stop some of those runs early; the
+// merger applies the cap to the published lanes. The walk needs the typed
+// ALAE plan (a custom backend registered as "alae" compiles something
+// else) and cannot host the single-index bitset filter.
+bool UseFusedWalk(const api::QueryPlan& plan) {
+  return dynamic_cast<const api::AlaePlan*>(&plan) != nullptr &&
          !plan.request().alae.bitset_global_filter;
 }
 
@@ -554,7 +553,7 @@ std::vector<api::QueryOutcome> QueryScheduler::Execute(
       continue;
     }
     q.plan = std::move(*plan);
-    q.fused = UseFusedWalk(*q.plan, request.max_hits);
+    q.fused = UseFusedWalk(*q.plan);
     if (q.fused && inst_.fused_queries != nullptr) inst_.fused_queries->Add();
   }
   if (queries.empty()) return outcomes;

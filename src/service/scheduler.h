@@ -84,13 +84,13 @@ struct SchedulerOptions {
 // tombstone filtering. Search, SearchBatch and SearchStream are one
 // execution path (Execute); they differ only in where the merged hits go.
 //
-// Fusion policy (UseFusedWalk in scheduler.cc): an uncapped query of the
-// built-in ALAE backend runs as ONE pool task walking the union of the
-// slices' suffix tries, so each distinct path's fork DP is computed once
-// for all slices (Alae::RunSharded); its lanes are then published sorted
-// in owned-interval order. Every other query — other backends, and a
-// capped (max_hits > 0) ALAE query, whose early slices can stop the later
-// ones — runs one task per slice.
+// Fusion policy (UseFusedWalk in scheduler.cc): a query of the built-in
+// ALAE backend runs as ONE pool task walking the union of the slices'
+// suffix tries, so each distinct path's fork DP is computed once for all
+// slices (Alae::RunSharded); its lanes are then published sorted in
+// owned-interval order, and the merger applies any max_hits cap. Every
+// other query — other backends, and ALAE with the single-index bitset
+// filter — runs one task per slice.
 //
 // Repeats are answered from two cache tiers: the epoch-keyed
 // whole-response LRU and the content-keyed shard-fragment LRU. Any slice
@@ -155,10 +155,9 @@ class QueryScheduler {
   //
   // Short-circuit: once max_hits hits have been emitted (or the sink
   // returns false), a cap token fires and every still-running slice aborts
-  // at its next cancellation poll, so a small max_hits costs a fraction of
-  // the full answer. That is why a capped request runs per slice; an
-  // uncapped ALAE stream takes the fused walk, whose lanes reach the sink
-  // only once the walk is done.
+  // at its next cancellation poll, so on a per-slice backend a small
+  // max_hits costs a fraction of the full answer. An ALAE stream takes the
+  // fused walk, whose lanes reach the sink only once the walk is done.
   //
   // The sink runs under the merger's lock on pool worker threads: keep it
   // fast, never call back into the scheduler from it.

@@ -225,7 +225,7 @@ TEST(NetServer, PipelineOverflowIsRetryableResourceExhausted) {
 
 // Scheduler-level backpressure maps to the same retryable code: a queue
 // too small for one query's fan-out sheds every request. (A per-slice
-// backend: an uncapped ALAE query is one fused task, which would fit.)
+// backend: an ALAE query is one fused task, which would fit.)
 TEST(NetServer, SchedulerQueueExhaustionIsRetryableOnTheWire) {
   SmallRig rig({}, SchedulerOptions{.threads = 1, .queue_capacity = 1});
   ASSERT_GT(rig.corpus->num_shards(), 1u);

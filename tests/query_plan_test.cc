@@ -239,10 +239,10 @@ TEST(QueryPlan, FusedShardedRunMatchesPerIndexRuns) {
 }
 
 // Scheduler differential across shard counts and both execution modes: the
-// fused fan-out (uncapped) and the per-shard fan-out (capped above the
-// answer's size, which the fusion policy keeps per slice) must both be
-// bit-exact against the unsharded facade for ALAE (the full all-backend
-// differential lives in service_test).
+// fused fan-out and the per-shard fan-out (the single-index bitset filter,
+// which the fusion policy keeps per slice; it prunes work, never answers)
+// must both be bit-exact against the unsharded facade for ALAE (the full
+// all-backend differential lives in service_test).
 TEST(QueryPlan, SchedulerFusedAndPerShardMatchUnshardedAcrossShardCounts) {
   WorkloadSpec spec;
   spec.text_length = 2'400;
@@ -270,7 +270,7 @@ TEST(QueryPlan, SchedulerFusedAndPerShardMatchUnshardedAcrossShardCounts) {
       api::StatusOr<SearchResponse> unsharded = reference->Search(request);
       ASSERT_TRUE(unsharded.ok());
       for (bool fused : {true, false}) {
-        if (!fused) request.max_hits = unsharded->hits.size() + 1;
+        request.alae.bitset_global_filter = !fused;
         const uint64_t fused_before = fused_queries->Value();
         api::StatusOr<SearchResponse> sharded =
             scheduler.Search("alae", request);
