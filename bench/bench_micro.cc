@@ -1,13 +1,15 @@
 // Microbenchmarks (google-benchmark): the substrate kernels — SA-IS
 // construction, FM backward search, locate, DP cell
-// throughput — that determine the constants behind every table, plus the
-// api::Aligner facade path (dispatch + validation + sink overhead).
+// throughput, query compilation — that determine the constants behind
+// every table, plus the api::Aligner facade path (dispatch + validation +
+// sink overhead).
 
 #include <benchmark/benchmark.h>
 
 #include "src/align/dp.h"
 #include "src/api/api.h"
 #include "src/baseline/smith_waterman.h"
+#include "src/core/alae.h"
 #include "src/index/fm_index.h"
 #include "src/index/qgram_index.h"
 #include "src/index/suffix_array.h"
@@ -125,16 +127,45 @@ void BM_FacadeFirstHit(benchmark::State& state) {
 }
 BENCHMARK(BM_FacadeFirstHit);
 
+// BLAST's word index; w=11 is its default DNA word, a 4^11 key space that
+// a per-key table would have to allocate in full on every compile.
 void BM_QGramIndexBuild(benchmark::State& state) {
   SequenceGenerator gen(7);
   Sequence query = gen.Random(state.range(0), Alphabet::Dna());
+  const int w = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    QGramIndex index(query, 4);
+    QGramIndex index(query, w);
     benchmark::DoNotOptimize(index.q());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_QGramIndexBuild)->Arg(1 << 14);
+BENCHMARK(BM_QGramIndexBuild)->Args({1 << 14, 4})->Args({1 << 14, 11});
+
+// ALAE's query compile (gram table, first-occurrence work list, delta
+// profile, query LCP index): args are (protein?, m, threshold). Protein
+// uses <1,-4,-5,-2>, whose q-prefix length is 5, so threshold 4 compiles
+// at q=4 and threshold 30 at q=5; the DNA plan compiles at q=4.
+void BM_AlaePlanCompile(benchmark::State& state) {
+  const bool protein = state.range(0) != 0;
+  SequenceGenerator gen(8);
+  Sequence query = gen.Random(state.range(1),
+                              protein ? Alphabet::Protein() : Alphabet::Dna());
+  const ScoringScheme scheme =
+      protein ? ScoringScheme::Fig9(1) : ScoringScheme::Default();
+  const int32_t threshold = static_cast<int32_t>(state.range(2));
+  int32_t q = 0;
+  for (auto _ : state) {
+    AlaeQueryPlan plan(query, scheme, threshold, AlaeConfig{});
+    q = plan.filters().q();
+    benchmark::DoNotOptimize(plan.grams().data());
+  }
+  state.counters["q"] = q;
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_AlaePlanCompile)
+    ->Args({0, 1000, 40})
+    ->Args({1, 300, 4})
+    ->Args({1, 300, 30});
 
 }  // namespace
 }  // namespace alae

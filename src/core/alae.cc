@@ -1,8 +1,9 @@
 #include "src/core/alae.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "src/align/dp.h"
@@ -64,44 +65,20 @@ AlaeQueryPlan::AlaeQueryPlan(Sequence query, const ScoringScheme& scheme,
       threshold_(threshold),
       config_(config),
       filters_(scheme, static_cast<int64_t>(query_.size()), threshold, config),
-      qgrams_(query_, filters_.q()) {
-  // Enumerate the distinct q-grams of P in first-occurrence order: the
-  // engine's anchoring work list, identical for every index it runs
-  // against.
-  const int32_t q = filters_.q();
-  const int64_t m = static_cast<int64_t>(query_.size());
-  if (m >= q) {
-    std::unordered_map<uint64_t, int32_t> seen;
-    for (int64_t j = 0; j + q <= m; ++j) {
-      uint64_t key = qgrams_.KeyOf(query_.symbols().data() + j);
-      seen.try_emplace(key, static_cast<int32_t>(j));
+      gram_table_(query_, filters_.q()) {
+  // The anchoring work list: the distinct grams in first-occurrence order,
+  // identical for every index the plan runs against. A run's first
+  // position is its smallest, so marking each run at it and sweeping the
+  // positions in order lists the runs without a sort.
+  if (gram_table_.size() > 0) {
+    std::vector<int32_t> run_at(query_.size() - filters_.q() + 1, -1);
+    for (size_t run = 0; run < gram_table_.size(); ++run) {
+      run_at[gram_table_.occurrences(run)[0]] = static_cast<int32_t>(run);
     }
-    grams_.reserve(seen.size());
-    for (const auto& [key, first] : seen) grams_.push_back({first, key});
-    std::sort(grams_.begin(), grams_.end());
-
-    // Key-sorted descent order with shared-prefix lengths, so each index
-    // extends a shared gram prefix once (the gram set as a prefix tree).
-    descent_order_.reserve(grams_.size());
-    for (size_t g = 0; g < grams_.size(); ++g) {
-      descent_order_.push_back({static_cast<int32_t>(g), 0});
-    }
-    std::sort(descent_order_.begin(), descent_order_.end(),
-              [this](const GramStep& a, const GramStep& b) {
-                return grams_[static_cast<size_t>(a.gram)].second <
-                       grams_[static_cast<size_t>(b.gram)].second;
-              });
-    const Symbol* symbols = query_.symbols().data();
-    for (size_t g = 1; g < descent_order_.size(); ++g) {
-      const Symbol* prev =
-          symbols + grams_[static_cast<size_t>(descent_order_[g - 1].gram)]
-                        .first;
-      const Symbol* cur =
-          symbols +
-          grams_[static_cast<size_t>(descent_order_[g].gram)].first;
-      int32_t lcp = 0;
-      while (lcp < q && prev[lcp] == cur[lcp]) ++lcp;
-      descent_order_[g].lcp = lcp;
+    grams_.reserve(gram_table_.size());
+    for (size_t j = 0; j < run_at.size(); ++j) {
+      if (run_at[j] < 0) continue;
+      grams_.push_back({static_cast<int32_t>(j), run_at[j]});
     }
   }
   profile_ = BuildDeltaProfile(scheme_, query_);
@@ -129,9 +106,8 @@ class Alae::Engine {
         m_(static_cast<int64_t>(plan.query().size())),
         threshold_(plan.threshold()),
         filters_(plan.filters()),
-        qgrams_(plan.qgrams()),
+        gram_table_(plan.gram_table()),
         grams_(plan.grams()),
-        descent_(plan.descent_order()),
         profile_(plan.profile()),
         query_lcp_(plan.query_lcp()),
         reuse_group_(config_.reuse ? query_lcp_ : nullptr) {
@@ -177,8 +153,9 @@ class Alae::Engine {
     // are exactly child c's live-lane arrays, built in ONE pass over this
     // node's lanes (a singleton lane contributes one bucket push, not a
     // sigma-wide block) and swapped into the child frame when its symbol
-    // comes up. Buckets are (re)initialised at expansion time, so
-    // ResetFrame leaves them alone.
+    // comes up. Visiting a child empties its bucket; expansion clears the
+    // ones child_mask says are still filled, so ResetFrame leaves them
+    // alone.
     std::vector<std::vector<uint32_t>> child_lanes;
     std::vector<std::vector<SaRange>> child_ranges;
     std::vector<std::vector<uint32_t>> child_pos_lanes;
@@ -188,7 +165,12 @@ class Alae::Engine {
     // Lazily located text end positions, parallel to `lanes`.
     std::vector<std::vector<int64_t>> ends;
     bool located = false;
-    Symbol next_child = 0;
+    // Symbols whose bucket holds lanes not yet visited; valid once the
+    // frame is expanded. Kept across ResetFrame so the slot's next
+    // expansion knows which buckets were left filled (by a cancelled walk,
+    // or by index symbols outside the query's alphabet).
+    uint64_t child_mask = 0;
+    bool expanded = false;
   };
 
   // One (column, score) hit discovered while computing a child row.
@@ -209,7 +191,7 @@ class Alae::Engine {
   // every per-lane operation.
   const FmIndex::RankCursor& cur(size_t lane) const { return cursors_[lane]; }
 
-  void ProcessGram(size_t gram_index, const std::vector<int32_t>& anchors);
+  void ProcessGram(size_t run);
   bool AnchorSurvivesGlobalFilters(const Symbol* gram,
                                    const std::vector<int64_t>& starts,
                                    int32_t anchor);
@@ -277,11 +259,12 @@ class Alae::Engine {
   int32_t threshold_;
   // Query-side compiled state, all borrowed from the (immutable) plan.
   const FilterContext& filters_;
-  const QGramIndex& qgrams_;
-  const std::vector<std::pair<int32_t, uint64_t>>& grams_;
-  const std::vector<AlaeQueryPlan::GramStep>& descent_;
+  const QGramTable& gram_table_;
+  const std::vector<AlaeQueryPlan::Gram>& grams_;
   const std::vector<int32_t>& profile_;
-  std::vector<SaRange> gram_roots_;  // grams x lanes, gram-major
+  // Every run's subtree root in every lane, lane-major (lane l, run r at
+  // l * runs + r): the anchoring descent extends each lane's runs in place.
+  std::vector<SaRange> gram_roots_;
   const LcpIndex* query_lcp_;
   RowReuseGroup reuse_group_;
   std::vector<const DominationIndex*> domination_;  // per lane, maybe empty
@@ -330,7 +313,7 @@ class Alae::Engine {
     frame->gap.clear();
     frame->ends.clear();
     frame->located = false;
-    frame->next_child = 0;
+    frame->expanded = false;
   }
 };
 
@@ -366,41 +349,41 @@ void Alae::Engine::Run(std::vector<ResultCollector>* results,
     // time. This is what keeps the fused walk's per-lane anchoring cost
     // roughly flat in the shard count.
     const size_t num_lanes = lanes();
-    const size_t num_slots = descent_.size();
-    gram_roots_.assign(grams_.size() * num_lanes, SaRange{});
+    const size_t num_slots = gram_table_.size();
     // Seed source per slot: the nearest earlier slot with lcp <= this
     // slot's lcp. Every slot in between shares more than lcp symbols with
     // its own predecessor, hence (transitively) the whole depth-lcp prefix.
     std::vector<int32_t> seed_from(num_slots, -1);
     for (size_t s = 1; s < num_slots; ++s) {
       int32_t s2 = static_cast<int32_t>(s) - 1;
-      while (descent_[static_cast<size_t>(s2)].lcp > descent_[s].lcp) --s2;
+      while (gram_table_.lcp(static_cast<size_t>(s2)) > gram_table_.lcp(s)) {
+        --s2;
+      }
       seed_from[s] = s2;
     }
     // Per-(lane, slot) ranges, lane-major so each lane's level batch is
     // one contiguous in-place ExtendBatch. Unseeded slots sit at the
     // empty range, which batch-extends to empty for free.
-    std::vector<SaRange> anchor(num_lanes * num_slots);
+    gram_roots_.assign(num_lanes * num_slots, SaRange{});
     std::vector<Symbol> level_syms(num_slots, 0);
-    bool anchoring_fired = false;
-    for (int32_t k = 0; k < q && !anchoring_fired; ++k) {
+    for (int32_t k = 0; k < q && !scan_.fired(); ++k) {
       for (size_t s = 0; s < num_slots; ++s) {
-        const AlaeQueryPlan::GramStep& step = descent_[s];
-        if (step.lcp > k) continue;  // still aliasing an earlier gram's node
-        if (step.lcp == k) {
+        const int32_t lcp = gram_table_.lcp(s);
+        if (lcp > k) continue;  // still aliasing an earlier gram's node
+        if (lcp == k) {
           for (size_t l = 0; l < num_lanes; ++l) {
-            anchor[l * num_slots + s] =
+            gram_roots_[l * num_slots + s] =
                 s == 0 ? (n_[l] >= q ? fm(l).FullRange() : SaRange{})
-                       : anchor[l * num_slots +
-                                static_cast<size_t>(seed_from[s])];
+                       : gram_roots_[l * num_slots +
+                                     static_cast<size_t>(seed_from[s])];
           }
         }
-        level_syms[s] = query_[static_cast<size_t>(
-            grams_[static_cast<size_t>(step.gram)].first + k)];
+        level_syms[s] =
+            query_[static_cast<size_t>(gram_table_.occurrences(s)[0] + k)];
       }
       int64_t live = 0;
       for (size_t l = 0; l < num_lanes; ++l) {
-        const SaRange* lane_ranges = anchor.data() + l * num_slots;
+        const SaRange* lane_ranges = gram_roots_.data() + l * num_slots;
         for (size_t s = 0; s < num_slots; ++s) {
           if (!lane_ranges[s].Empty()) {
             cur(l).PrefetchRange(lane_ranges[s]);
@@ -408,27 +391,16 @@ void Alae::Engine::Run(std::vector<ResultCollector>* results,
           }
         }
       }
-      if (scan_.Tick(std::max<int64_t>(live, 1))) {
-        anchoring_fired = true;
-        break;
-      }
+      if (scan_.Tick(std::max<int64_t>(live, 1))) break;
       for (size_t l = 0; l < num_lanes; ++l) {
-        SaRange* lane_ranges = anchor.data() + l * num_slots;
+        SaRange* lane_ranges = gram_roots_.data() + l * num_slots;
         cur(l).ExtendBatch(lane_ranges, level_syms.data(), lane_ranges,
                           static_cast<int>(num_slots));
       }
       counters_.fm_extends += static_cast<uint64_t>(live);
     }
-    if (!anchoring_fired) {
-      for (size_t s = 0; s < num_slots; ++s) {
-        const size_t g = static_cast<size_t>(descent_[s].gram);
-        for (size_t l = 0; l < num_lanes; ++l) {
-          gram_roots_[g * num_lanes + l] = anchor[l * num_slots + s];
-        }
-      }
-    }
     for (size_t g = 0; g < grams_.size() && !scan_.fired(); ++g) {
-      ProcessGram(g, qgrams_.Occurrences(grams_[g].second));
+      ProcessGram(static_cast<size_t>(grams_[g].run));
     }
   }
   if (stats != nullptr) {
@@ -476,9 +448,8 @@ bool Alae::Engine::AnchorSurvivesGlobalFilters(
   return true;
 }
 
-void Alae::Engine::ProcessGram(size_t gram_index,
-                               const std::vector<int32_t>& anchors) {
-  if (anchors.empty()) return;
+void Alae::Engine::ProcessGram(size_t run) {
+  const std::span<const int32_t> anchors = gram_table_.occurrences(run);
   const int32_t q = filters_.q();
   const size_t num_lanes = lanes();
   const Symbol* gram = query_.symbols().data() + anchors[0];
@@ -490,7 +461,7 @@ void Alae::Engine::ProcessGram(size_t gram_index,
   Frame& root = dfs_stack_[0];
   ResetFrame(&root);
   for (size_t l = 0; l < num_lanes; ++l) {
-    const SaRange& range = gram_roots_[gram_index * num_lanes + l];
+    const SaRange& range = gram_roots_[l * gram_table_.size() + run];
     if (range.Empty()) continue;
     root.lanes.push_back(static_cast<uint32_t>(l));
     root.ranges.push_back(range);
@@ -592,6 +563,10 @@ void Alae::Engine::ProcessGram(size_t gram_index,
     stride = std::max(stride, static_cast<size_t>(fm(l).sigma()));
   }
   assert(stride <= kMaxStride && "alphabet wider than the fan-out bound");
+  // Children are query symbols: an index symbol outside the query's
+  // alphabet has no profile row and is never visited.
+  const uint64_t query_symbols =
+      sigma >= 64 ? ~uint64_t{0} : (uint64_t{1} << sigma) - 1;
 
   while (level > 0) {
     // Cooperative abort: one tick per node visit (DP cells are accounted
@@ -599,14 +574,8 @@ void Alae::Engine::ProcessGram(size_t gram_index,
     // results gathered so far stay valid, the rest never materialise.
     if (scan_.Tick()) break;
     Frame& top = dfs_stack_[level - 1];
-    if (top.next_child >= sigma) {
-      for (ForkState& fork : top.gap) ReleaseRow(std::move(fork.cells));
-      top.gap.clear();
-      --level;
-      continue;
-    }
     int64_t depth = static_cast<int64_t>(q) + static_cast<int64_t>(level);
-    if (top.next_child == 0) {
+    if (!top.expanded) {
       // First visit: the children's depth is fixed for the whole frame, so
       // the length filter prunes all of them at once, and one batched
       // ExtendAll per live lane over the two boundary blocks replaces
@@ -623,12 +592,15 @@ void Alae::Engine::ProcessGram(size_t gram_index,
         top.child_pos_lanes.resize(stride);
         top.child_pos_vals.resize(stride);
       }
-      for (size_t c = 0; c < stride; ++c) {
+      for (uint64_t rest = top.child_mask; rest != 0; rest &= rest - 1) {
+        const int c = std::countr_zero(rest);
         top.child_lanes[c].clear();
         top.child_ranges[c].clear();
         top.child_pos_lanes[c].clear();
         top.child_pos_vals[c].clear();
       }
+      top.child_mask = 0;
+      top.expanded = true;
       SaRange block[kMaxStride];
       if (top.lanes.size() > 1) {
         // Cross-lane prefetch: each live lane is about to rank its
@@ -667,6 +639,7 @@ void Alae::Engine::ProcessGram(size_t gram_index,
               top.child_lanes[only].push_back(lane);
               top.child_ranges[only].push_back(child);
             }
+            top.child_mask |= uint64_t{1} << only;
           }
           ++counters_.fm_extends;
         } else {
@@ -674,6 +647,7 @@ void Alae::Engine::ProcessGram(size_t gram_index,
           const size_t index_sigma = static_cast<size_t>(cursor.sigma());
           for (size_t c = 0; c < index_sigma; ++c) {
             if (block[c].Empty()) continue;
+            top.child_mask |= uint64_t{1} << c;
             if (block[c].Count() == 1) {
               const int64_t p = cursor.SampledPosition(block[c].lo);
               if (p >= 0) {
@@ -698,14 +672,22 @@ void Alae::Engine::ProcessGram(size_t gram_index,
         const Symbol sym = texts_[lane][nt];
         top.child_pos_lanes[sym].push_back(lane);
         top.child_pos_vals[sym].push_back(nt);
+        top.child_mask |= uint64_t{1} << sym;
         ++counters_.fm_text_steps;
       }
     }
-    Symbol c = top.next_child++;
-    // The expansion pass bucketed child c's live lanes already; an empty
-    // bucket means the symbol extends nowhere and the candidate dies
-    // unpriced.
-    if (top.child_lanes[c].empty() && top.child_pos_lanes[c].empty()) continue;
+    // The expansion pass bucketed the live children's lanes and marked
+    // their symbols; the rest extend nowhere and die unpriced. Taking the
+    // lowest unvisited bit visits the children in ascending symbol order.
+    const uint64_t unvisited = top.child_mask & query_symbols;
+    if (unvisited == 0) {
+      for (ForkState& fork : top.gap) ReleaseRow(std::move(fork.cells));
+      top.gap.clear();
+      --level;
+      continue;
+    }
+    const Symbol c = static_cast<Symbol>(std::countr_zero(unvisited));
+    top.child_mask &= ~(uint64_t{1} << c);
 
     // Evolve every fork by one row. Gap forks go first (their reuse
     // sources are earlier gap forks), then the cheap diagonal forks, whose
@@ -728,7 +710,7 @@ void Alae::Engine::ProcessGram(size_t gram_index,
     // identical to the sequential step. The only ordering hazard is Lemma-3
     // reuse — a fork whose source is still pending would miss its prefix
     // copy — so such a fork forces a flush first.
-    {
+    if (!top.gap.empty()) {
       GapStep steps[2];
       size_t npend = 0;
       auto flush = [&]() {

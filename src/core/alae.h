@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "src/align/counters.h"
@@ -90,26 +89,21 @@ class AlaeQueryPlan {
   // Theorem 1/2 bounds, the q-prefix length and the FGOE threshold.
   const FilterContext& filters() const { return filters_; }
 
-  // Inverted q-gram lists of the query (prefix filtering, §3.1.3).
-  const QGramIndex& qgrams() const { return qgrams_; }
+  // The query's q-grams as one (key, position)-sorted table (prefix
+  // filtering, §3.1.3). Its runs are the distinct grams in key order —
+  // the order the engine descends the gram set through an index as a
+  // prefix tree, extending each shared prefix (table.lcp) once instead of
+  // once per gram — and each run's positions are its occurrence list.
+  const QGramTable& gram_table() const { return gram_table_; }
 
-  // Distinct q-grams of the query as (first occurrence, key), sorted by
-  // first occurrence — the engine's anchoring work list.
-  const std::vector<std::pair<int32_t, uint64_t>>& grams() const {
-    return grams_;
-  }
-
-  // The same grams in key (lexicographic) order, each with the length of
-  // its shared prefix with the previous entry: the engine descends the
-  // gram set through an index as a prefix tree, extending each shared
-  // prefix once instead of once per gram.
-  struct GramStep {
-    int32_t gram = 0;  // index into grams()
-    int32_t lcp = 0;   // symbols shared with the previous step's gram
+  // The distinct grams in first-occurrence order — the engine's anchoring
+  // work list: each gram's first occurrence in P and its run in
+  // gram_table().
+  struct Gram {
+    int32_t first = 0;
+    int32_t run = 0;
   };
-  const std::vector<GramStep>& descent_order() const {
-    return descent_order_;
-  }
+  const std::vector<Gram>& grams() const { return grams_; }
 
   // sigma x m substitution profile (the row kernel's delta lane).
   const std::vector<int32_t>& profile() const { return profile_; }
@@ -123,9 +117,8 @@ class AlaeQueryPlan {
   int32_t threshold_ = 1;
   AlaeConfig config_;
   FilterContext filters_;
-  QGramIndex qgrams_;
-  std::vector<std::pair<int32_t, uint64_t>> grams_;
-  std::vector<GramStep> descent_order_;
+  QGramTable gram_table_;
+  std::vector<Gram> grams_;
   std::vector<int32_t> profile_;
   std::unique_ptr<LcpIndex> query_lcp_;
 };

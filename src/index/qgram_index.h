@@ -2,50 +2,88 @@
 #define ALAE_INDEX_QGRAM_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "src/io/sequence.h"
 
 namespace alae {
 
-// Inverted lists of the q-grams of a query P, built on the fly in O(m)
-// (paper §3.1.3). A fork can only be anchored where the suffix-trie path's
-// q-prefix exactly matches a q-gram of P, so these lists are the entry
-// point of prefix filtering.
+// The q-grams of a query P as one array sorted by (key, position), built
+// in O(m log m) with no sigma^q-sized state (paper §3.1.3 builds these
+// inverted lists on the fly). The distinct grams are the array's runs, in
+// key — i.e. lexicographic — order; a run's positions are the gram's
+// occurrence list. Each run also carries the length of the prefix it
+// shares with the previous run, so a caller can descend the gram set as a
+// prefix tree.
 //
-// Keys are the base-sigma value of the q-gram. For small sigma^q a flat
-// table is used; otherwise a hash map.
+// Keys are the base-sigma value of the q-gram (first symbol is the most
+// significant digit).
+class QGramTable {
+ public:
+  QGramTable() = default;
+  QGramTable(const Sequence& query, int q);
+
+  int q() const { return q_; }
+
+  uint64_t KeyOf(const Symbol* gram) const;
+
+  // Number of distinct q-grams (runs); zero when m < q.
+  size_t size() const { return keys_.size(); }
+  uint64_t key(size_t run) const { return keys_[run]; }
+  // Start positions (0-based) of run `run`'s gram in P, ascending.
+  std::span<const int32_t> occurrences(size_t run) const {
+    return {positions_.data() + run_begin_[run],
+            positions_.data() + run_begin_[run + 1]};
+  }
+  // Symbols run `run`'s gram shares with run `run - 1`'s (0 for run 0).
+  int32_t lcp(size_t run) const { return lcp_[run]; }
+
+  // The run holding `key`, or size() when the gram does not occur.
+  size_t Find(uint64_t key) const;
+
+ private:
+  int q_ = 0;
+  int sigma_ = 4;
+  std::vector<int32_t> positions_;   // all m-q+1 starts, (key, pos) order
+  std::vector<uint64_t> keys_;       // per run
+  std::vector<uint32_t> run_begin_;  // per run, plus an end sentinel
+  std::vector<int32_t> lcp_;         // per run
+};
+
+// Word index for BLAST seeding: the query's QGramTable plus a presence
+// bitmap over the (masked) key space, so the text scan's common case — a
+// word the query does not contain — costs one bit test. A set bit is
+// resolved by binary search over the distinct keys. The bitmap is exact up
+// to kBitmapBits keys (DNA w=11 is 4^11 = 2^22); wider key spaces fold
+// onto it and only pay the search on a false positive.
 class QGramIndex {
  public:
   QGramIndex() = default;
   QGramIndex(const Sequence& query, int q);
 
-  int q() const { return q_; }
-  size_t query_size() const { return m_; }
+  int q() const { return table_.q(); }
 
-  // Base-sigma key of a q-gram (first symbol is the most significant digit).
-  uint64_t KeyOf(const Symbol* gram) const;
+  uint64_t KeyOf(const Symbol* gram) const { return table_.KeyOf(gram); }
 
-  // Start positions (0-based) of the q-gram in P, ascending. Empty list if
-  // the q-gram does not occur.
-  const std::vector<int32_t>& Occurrences(uint64_t key) const;
-  const std::vector<int32_t>& Occurrences(const Symbol* gram) const {
+  // Start positions (0-based) of the q-gram in P, ascending. Empty if the
+  // q-gram does not occur.
+  std::span<const int32_t> Occurrences(uint64_t key) const {
+    if ((present_[(key & mask_) >> 6] >> (key & 63) & 1) == 0) return {};
+    const size_t run = table_.Find(key);
+    if (run == table_.size()) return {};
+    return table_.occurrences(run);
+  }
+  std::span<const int32_t> Occurrences(const Symbol* gram) const {
     return Occurrences(KeyOf(gram));
   }
 
-  size_t SizeBytes() const;
-
  private:
-  static constexpr uint64_t kFlatLimit = 1ULL << 22;
+  static constexpr uint64_t kBitmapBits = 1ULL << 22;
 
-  int q_ = 0;
-  size_t m_ = 0;
-  int sigma_ = 4;
-  uint64_t table_size_ = 0;  // sigma^q if flat, else 0
-  std::vector<std::vector<int32_t>> flat_;
-  std::unordered_map<uint64_t, std::vector<int32_t>> map_;
-  std::vector<int32_t> empty_;
+  QGramTable table_;
+  uint64_t mask_ = 0;               // bitmap bits - 1 (a power of two)
+  std::vector<uint64_t> present_ = std::vector<uint64_t>(1, 0);
 };
 
 }  // namespace alae

@@ -290,11 +290,15 @@ void NetServer::RingPush(const std::shared_ptr<Connection>& conn) {
 void NetServer::KillConnection(const std::shared_ptr<Connection>& conn,
                                bool count_disconnect) {
   std::vector<std::shared_ptr<CancelToken>> tokens;
+  size_t dropped = 0;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->dead) return;
     conn->dead = true;
-    conn->pending.clear();  // never-dispatched requests die with the peer
+    // Never-dispatched requests die with the peer. They were admitted, so
+    // they complete here; every dispatched one completes in ServeRequest.
+    dropped = conn->pending.size();
+    conn->pending.clear();
     for (auto& [id, token] : conn->inflight) tokens.push_back(token);
     // Retire the connection's slots here; ServeRequest's own erase is a
     // no-op afterwards, so the gauge never double-decrements.
@@ -303,6 +307,7 @@ void NetServer::KillConnection(const std::shared_ptr<Connection>& conn,
     conn->out.clear();
     conn->out_offset = 0;
   }
+  if (dropped != 0) inst_.completed->Add(static_cast<int64_t>(dropped));
   // Fire outside the lock: workers' sinks take conn->mu.
   for (const std::shared_ptr<CancelToken>& token : tokens) token->Cancel();
   if (count_disconnect && !tokens.empty()) {
@@ -686,6 +691,7 @@ void NetServer::ServeRequest(const std::shared_ptr<Connection>& conn,
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->dead) {
       if (conn->inflight.erase(id) != 0) inst_.pipeline_depth->Add(-1);
+      inst_.completed->Add();
       return;
     }
   }

@@ -431,6 +431,29 @@ TEST(NetServerCancel, ClientDisconnectCancelsServerSideWork) {
       WaitUntil([&] { return rig.server->requests_completed() >= 1; }));
 }
 
+// Every admitted request is completed exactly once, including one still
+// queued behind a running request when its connection dies: the rig's one
+// worker is busy with the first query, so the second never gets dispatched.
+TEST(NetServerCancel, DisconnectCompletesQueuedRequestsExactlyOnce) {
+  SlowRig rig;
+  auto client = std::make_unique<NetClient>();
+  ASSERT_TRUE(client->Connect("127.0.0.1", rig.server->port()).ok());
+
+  ASSERT_TRUE(client->Send(rig.SlowQuery(5)).ok());
+  ASSERT_TRUE(client->Send(rig.SlowQuery(6)).ok());
+  ASSERT_TRUE(WaitUntil([&] { return rig.server->requests_admitted() >= 2; }));
+  client.reset();
+
+  EXPECT_TRUE(
+      WaitUntil([&] { return rig.server->requests_completed() >= 2; }))
+      << "completed " << rig.server->requests_completed() << " of "
+      << rig.server->requests_admitted() << " admitted requests";
+  // Give a double count the time to show before checking the total.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(rig.server->requests_completed(), 2u);
+  EXPECT_EQ(rig.server->requests_admitted(), 2u);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace alae
