@@ -1,7 +1,6 @@
 #include "src/core/alae.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <span>
 #include <vector>
@@ -153,9 +152,8 @@ class Alae::Engine {
     // are exactly child c's live-lane arrays, built in ONE pass over this
     // node's lanes (a singleton lane contributes one bucket push, not a
     // sigma-wide block) and swapped into the child frame when its symbol
-    // comes up. Visiting a child empties its bucket; expansion clears the
-    // ones child_mask says are still filled, so ResetFrame leaves them
-    // alone.
+    // comes up. Buckets are (re)initialised at expansion time, so
+    // ResetFrame leaves them alone.
     std::vector<std::vector<uint32_t>> child_lanes;
     std::vector<std::vector<SaRange>> child_ranges;
     std::vector<std::vector<uint32_t>> child_pos_lanes;
@@ -165,12 +163,7 @@ class Alae::Engine {
     // Lazily located text end positions, parallel to `lanes`.
     std::vector<std::vector<int64_t>> ends;
     bool located = false;
-    // Symbols whose bucket holds lanes not yet visited; valid once the
-    // frame is expanded. Kept across ResetFrame so the slot's next
-    // expansion knows which buckets were left filled (by a cancelled walk,
-    // or by index symbols outside the query's alphabet).
-    uint64_t child_mask = 0;
-    bool expanded = false;
+    Symbol next_child = 0;
   };
 
   // One (column, score) hit discovered while computing a child row.
@@ -313,7 +306,7 @@ class Alae::Engine {
     frame->gap.clear();
     frame->ends.clear();
     frame->located = false;
-    frame->expanded = false;
+    frame->next_child = 0;
   }
 };
 
@@ -563,10 +556,6 @@ void Alae::Engine::ProcessGram(size_t run) {
     stride = std::max(stride, static_cast<size_t>(fm(l).sigma()));
   }
   assert(stride <= kMaxStride && "alphabet wider than the fan-out bound");
-  // Children are query symbols: an index symbol outside the query's
-  // alphabet has no profile row and is never visited.
-  const uint64_t query_symbols =
-      sigma >= 64 ? ~uint64_t{0} : (uint64_t{1} << sigma) - 1;
 
   while (level > 0) {
     // Cooperative abort: one tick per node visit (DP cells are accounted
@@ -574,8 +563,14 @@ void Alae::Engine::ProcessGram(size_t run) {
     // results gathered so far stay valid, the rest never materialise.
     if (scan_.Tick()) break;
     Frame& top = dfs_stack_[level - 1];
+    if (top.next_child >= sigma) {
+      for (ForkState& fork : top.gap) ReleaseRow(std::move(fork.cells));
+      top.gap.clear();
+      --level;
+      continue;
+    }
     int64_t depth = static_cast<int64_t>(q) + static_cast<int64_t>(level);
-    if (!top.expanded) {
+    if (top.next_child == 0) {
       // First visit: the children's depth is fixed for the whole frame, so
       // the length filter prunes all of them at once, and one batched
       // ExtendAll per live lane over the two boundary blocks replaces
@@ -592,15 +587,12 @@ void Alae::Engine::ProcessGram(size_t run) {
         top.child_pos_lanes.resize(stride);
         top.child_pos_vals.resize(stride);
       }
-      for (uint64_t rest = top.child_mask; rest != 0; rest &= rest - 1) {
-        const int c = std::countr_zero(rest);
+      for (size_t c = 0; c < stride; ++c) {
         top.child_lanes[c].clear();
         top.child_ranges[c].clear();
         top.child_pos_lanes[c].clear();
         top.child_pos_vals[c].clear();
       }
-      top.child_mask = 0;
-      top.expanded = true;
       SaRange block[kMaxStride];
       if (top.lanes.size() > 1) {
         // Cross-lane prefetch: each live lane is about to rank its
@@ -639,7 +631,6 @@ void Alae::Engine::ProcessGram(size_t run) {
               top.child_lanes[only].push_back(lane);
               top.child_ranges[only].push_back(child);
             }
-            top.child_mask |= uint64_t{1} << only;
           }
           ++counters_.fm_extends;
         } else {
@@ -647,7 +638,6 @@ void Alae::Engine::ProcessGram(size_t run) {
           const size_t index_sigma = static_cast<size_t>(cursor.sigma());
           for (size_t c = 0; c < index_sigma; ++c) {
             if (block[c].Empty()) continue;
-            top.child_mask |= uint64_t{1} << c;
             if (block[c].Count() == 1) {
               const int64_t p = cursor.SampledPosition(block[c].lo);
               if (p >= 0) {
@@ -672,22 +662,14 @@ void Alae::Engine::ProcessGram(size_t run) {
         const Symbol sym = texts_[lane][nt];
         top.child_pos_lanes[sym].push_back(lane);
         top.child_pos_vals[sym].push_back(nt);
-        top.child_mask |= uint64_t{1} << sym;
         ++counters_.fm_text_steps;
       }
     }
-    // The expansion pass bucketed the live children's lanes and marked
-    // their symbols; the rest extend nowhere and die unpriced. Taking the
-    // lowest unvisited bit visits the children in ascending symbol order.
-    const uint64_t unvisited = top.child_mask & query_symbols;
-    if (unvisited == 0) {
-      for (ForkState& fork : top.gap) ReleaseRow(std::move(fork.cells));
-      top.gap.clear();
-      --level;
-      continue;
-    }
-    const Symbol c = static_cast<Symbol>(std::countr_zero(unvisited));
-    top.child_mask &= ~(uint64_t{1} << c);
+    Symbol c = top.next_child++;
+    // The expansion pass bucketed child c's live lanes already; an empty
+    // bucket means the symbol extends nowhere and the candidate dies
+    // unpriced.
+    if (top.child_lanes[c].empty() && top.child_pos_lanes[c].empty()) continue;
 
     // Evolve every fork by one row. Gap forks go first (their reuse
     // sources are earlier gap forks), then the cheap diagonal forks, whose
@@ -710,7 +692,7 @@ void Alae::Engine::ProcessGram(size_t run) {
     // identical to the sequential step. The only ordering hazard is Lemma-3
     // reuse — a fork whose source is still pending would miss its prefix
     // copy — so such a fork forces a flush first.
-    if (!top.gap.empty()) {
+    {
       GapStep steps[2];
       size_t npend = 0;
       auto flush = [&]() {

@@ -72,10 +72,12 @@ size_t QGramTable::Find(uint64_t key) const {
 }
 
 QGramIndex::QGramIndex(const Sequence& query, int q) : table_(query, q) {
-  // Smallest power of two covering sigma^q, capped at kBitmapBits.
+  // Smallest power of two covering sigma^q (saturated above kBitmapBits),
+  // capped at kBitmapBits.
   uint64_t space = 1;
-  for (int i = 0; i < q && space < kBitmapBits; ++i) {
-    space *= static_cast<uint64_t>(query.sigma());
+  for (int i = 0; i < q; ++i) {
+    space = std::min(space * static_cast<uint64_t>(query.sigma()),
+                     2 * kBitmapBits);
   }
   uint64_t bits = 64;
   while (bits < space && bits < kBitmapBits) bits <<= 1;
@@ -84,6 +86,14 @@ QGramIndex::QGramIndex(const Sequence& query, int q) : table_(query, q) {
   for (size_t run = 0; run < table_.size(); ++run) {
     const uint64_t slot = table_.key(run) & mask_;
     present_[slot >> 6] |= 1ULL << (slot & 63);
+  }
+  if (space <= bits) {
+    rank_.resize(present_.size());
+    uint32_t below = 0;
+    for (size_t w = 0; w < present_.size(); ++w) {
+      rank_[w] = below;
+      below += static_cast<uint32_t>(std::popcount(present_[w]));
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef ALAE_INDEX_QGRAM_INDEX_H_
 #define ALAE_INDEX_QGRAM_INDEX_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -10,12 +11,12 @@
 namespace alae {
 
 // The q-grams of a query P as one array sorted by (key, position), built
-// in O(m log m) with no sigma^q-sized state (paper §3.1.3 builds these
-// inverted lists on the fly). The distinct grams are the array's runs, in
-// key — i.e. lexicographic — order; a run's positions are the gram's
-// occurrence list. Each run also carries the length of the prefix it
-// shares with the previous run, so a caller can descend the gram set as a
-// prefix tree.
+// by a radix sort in O(m) per key byte with no sigma^q-sized state (paper
+// §3.1.3 builds these inverted lists on the fly). The distinct grams are
+// the array's runs, in key — i.e. lexicographic — order; a run's
+// positions are the gram's occurrence list. Each run also carries the
+// length of the prefix it shares with the previous run, so a caller can
+// descend the gram set as a prefix tree.
 //
 // Keys are the base-sigma value of the q-gram (first symbol is the most
 // significant digit).
@@ -53,10 +54,11 @@ class QGramTable {
 
 // Word index for BLAST seeding: the query's QGramTable plus a presence
 // bitmap over the (masked) key space, so the text scan's common case — a
-// word the query does not contain — costs one bit test. A set bit is
-// resolved by binary search over the distinct keys. The bitmap is exact up
-// to kBitmapBits keys (DNA w=11 is 4^11 = 2^22); wider key spaces fold
-// onto it and only pay the search on a false positive.
+// word the query does not contain — costs one bit test. The bitmap is
+// exact up to kBitmapBits keys (DNA w=11 is 4^11 = 2^22), and then a set
+// bit's rank is its run, read from a per-word prefix count. Wider key
+// spaces fold onto the bitmap, and a set bit is resolved by binary search
+// over the distinct keys.
 class QGramIndex {
  public:
   QGramIndex() = default;
@@ -69,7 +71,13 @@ class QGramIndex {
   // Start positions (0-based) of the q-gram in P, ascending. Empty if the
   // q-gram does not occur.
   std::span<const int32_t> Occurrences(uint64_t key) const {
-    if ((present_[(key & mask_) >> 6] >> (key & 63) & 1) == 0) return {};
+    const uint64_t word = present_[(key & mask_) >> 6];
+    const uint64_t bit = uint64_t{1} << (key & 63);
+    if ((word & bit) == 0) return {};
+    if (!rank_.empty()) {
+      return table_.occurrences(rank_[key >> 6] +
+                               std::popcount(word & (bit - 1)));
+    }
     const size_t run = table_.Find(key);
     if (run == table_.size()) return {};
     return table_.occurrences(run);
@@ -84,6 +92,8 @@ class QGramIndex {
   QGramTable table_;
   uint64_t mask_ = 0;               // bitmap bits - 1 (a power of two)
   std::vector<uint64_t> present_ = std::vector<uint64_t>(1, 0);
+  // Exact bitmaps only: set bits in the words before each word.
+  std::vector<uint32_t> rank_;
 };
 
 }  // namespace alae

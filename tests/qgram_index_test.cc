@@ -32,19 +32,36 @@ std::vector<int32_t> Vec(std::span<const int32_t> span) {
   return {span.begin(), span.end()};
 }
 
+// Checks `index` against a naive scan on grams sampled from the query
+// (hits) and random grams (mostly misses).
+void ExpectMatchesNaive(const Sequence& query, int q, const QGramIndex& index,
+                        SequenceGenerator* gen) {
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t start =
+        static_cast<size_t>(trial) * 7 % (query.size() - static_cast<size_t>(q));
+    Sequence gram = trial % 2 ? gen->Random(q, query.alphabet())
+                              : query.Substr(start, static_cast<size_t>(q));
+    EXPECT_EQ(Vec(index.Occurrences(gram.symbols().data())),
+              NaiveOccurrences(query, gram))
+        << "q=" << q << " trial=" << trial;
+  }
+}
+
 TEST(QGramIndex, MatchesNaiveDna) {
   SequenceGenerator gen(31);
-  // q=11 is BLAST's DNA word: 4^11 keys, exactly the bitmap's width.
-  for (int q : {1, 2, 4, 8, 11}) {
+  // Up to q=11 (BLAST's DNA word: 4^11 keys, exactly the bitmap's width)
+  // the bitmap is exact and ranks resolve hits; q=12 and q=14 fold.
+  for (int q : {1, 2, 4, 8, 11, 12, 14}) {
     Sequence query = gen.Random(300, Alphabet::Dna());
-    QGramIndex index(query, q);
-    for (int trial = 0; trial < 40; ++trial) {
-      Sequence gram = gen.Random(q, Alphabet::Dna());
-      EXPECT_EQ(Vec(index.Occurrences(gram.symbols().data())),
-                NaiveOccurrences(query, gram))
-          << "q=" << q;
-    }
+    ExpectMatchesNaive(query, q, QGramIndex(query, q), &gen);
   }
+}
+
+TEST(QGramIndex, MatchesNaiveProteinExactBitmap) {
+  SequenceGenerator gen(33);
+  // q=3 is BLAST's protein word: 20^3 keys fit an exact 8192-bit bitmap.
+  Sequence query = gen.Random(500, Alphabet::Protein());
+  ExpectMatchesNaive(query, 3, QGramIndex(query, 3), &gen);
 }
 
 TEST(QGramIndex, MatchesNaiveProteinFoldedBitmap) {
@@ -52,14 +69,7 @@ TEST(QGramIndex, MatchesNaiveProteinFoldedBitmap) {
   // q=6 over sigma=20 (6.4e7 keys) is wider than the presence bitmap, so
   // keys fold onto it and a set bit is confirmed by the table search.
   Sequence query = gen.Random(500, Alphabet::Protein());
-  QGramIndex index(query, 6);
-  for (int trial = 0; trial < 20; ++trial) {
-    // Half sampled from the query (guaranteed hits).
-    Sequence gram = trial % 2 ? gen.Random(6, Alphabet::Protein())
-                              : query.Substr(static_cast<size_t>(trial) * 7, 6);
-    EXPECT_EQ(Vec(index.Occurrences(gram.symbols().data())),
-              NaiveOccurrences(query, gram));
-  }
+  ExpectMatchesNaive(query, 6, QGramIndex(query, 6), &gen);
 }
 
 TEST(QGramIndex, QueryShorterThanQ) {
