@@ -44,7 +44,6 @@ struct Flags {
   int64_t shard_size = 1 << 20;
   int64_t overlap = 4096;
   int threads = 0;         // scheduler pool; 0 = hardware concurrency
-  int workers = 0;         // net admission workers; 0 = pool threads
   uint64_t seed = 42;
   bool force_poll = false;
   int metrics_dump_sec = 0;  // dump the registry every N sec (0 = off)
@@ -74,8 +73,6 @@ struct Flags {
         f.overlap = std::atoll(value.c_str());
       } else if (value_of("threads", &value)) {
         f.threads = std::atoi(value.c_str());
-      } else if (value_of("workers", &value)) {
-        f.workers = std::atoi(value.c_str());
       } else if (value_of("seed", &value)) {
         f.seed = std::strtoull(value.c_str(), nullptr, 10);
       } else if (value_of("force-poll", &value)) {
@@ -148,7 +145,6 @@ int main(int argc, char** argv) {
   net::NetServerOptions net_options;
   net_options.host = flags.host;
   net_options.port = flags.port;
-  net_options.workers = static_cast<size_t>(flags.workers);
   net_options.force_poll = flags.force_poll;
   net::NetServer server(&scheduler, net_options);
   if (api::Status started = server.Start(); !started.ok()) {
@@ -188,8 +184,8 @@ int main(int argc, char** argv) {
   sa.sa_flags = 0;
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
-  // Park until stdin closes or a signal lands; the event loop and workers
-  // do all the serving.
+  // Park until stdin closes or a signal lands; the event loop and the
+  // scheduler pool do all the serving.
   char buf[256];
   while (!g_stop) {
     ssize_t n = ::read(STDIN_FILENO, buf, sizeof(buf));
@@ -199,9 +195,9 @@ int main(int argc, char** argv) {
 
   dump_stop.store(true);
   if (dumper.joinable()) dumper.join();
-  // Stop the server BEFORE reading the counters: the event loop and
-  // workers are joined, so the summary is the final word rather than a
-  // snapshot racing whatever those threads were still completing.
+  // Stop the server BEFORE reading the counters: the event loop is joined
+  // and every started request has completed, so the summary is the final
+  // word rather than a snapshot racing requests still in flight.
   server.Stop();
   std::fprintf(stderr,
                "shut down: %llu conns, %llu requests (%llu cancelled, "

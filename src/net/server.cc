@@ -189,7 +189,7 @@ NetServer::NetServer(service::QueryScheduler* scheduler,
 NetServer::~NetServer() { Stop(); }
 
 api::Status NetServer::Start() {
-  if (started_) return api::Status::FailedPrecondition("server already started");
+  if (running_) return api::Status::FailedPrecondition("server already started");
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return ErrnoStatus("socket");
@@ -232,35 +232,23 @@ api::Status NetServer::Start() {
 
   stopping_.store(false);
   loop_thread_ = std::thread([this] { EventLoop(); });
-  const size_t workers =
-      options_.workers > 0
-          ? options_.workers
-          : static_cast<size_t>(std::max(1, scheduler_->pool().threads()));
-  workers_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-  started_ = true;
+  running_ = true;
   return api::Status::Ok();
 }
 
 void NetServer::Stop() {
-  if (!started_) return;
-  started_ = false;
+  if (!running_) return;
+  running_ = false;
   stopping_.store(true);
   Wake();
   // The event loop exits its next iteration, cancelling every in-flight
-  // token and closing every socket on the way out — which also unblocks
-  // workers stuck inside SearchStream.
+  // token and closing every socket on the way out.
   if (loop_thread_.joinable()) loop_thread_.join();
   {
-    std::lock_guard<std::mutex> lock(admit_mu_);
-    admit_cv_.notify_all();
+    // Completions touch this server and its wake pipe: wait them out.
+    std::unique_lock<std::mutex> lock(dirty_mu_);
+    idle_cv_.wait(lock, [this] { return started_ == 0; });
   }
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
-  workers_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   listen_fd_ = -1;
   for (int i = 0; i < 2; ++i) {
@@ -277,41 +265,31 @@ void NetServer::Wake() {
   }
 }
 
-void NetServer::RingPush(const std::shared_ptr<Connection>& conn) {
-  {
-    std::lock_guard<std::mutex> lock(admit_mu_);
-    if (conn->in_ring) return;
-    conn->in_ring = true;
-    ring_.push_back(conn);
-  }
-  admit_cv_.notify_one();
-}
-
 void NetServer::KillConnection(const std::shared_ptr<Connection>& conn,
                                bool count_disconnect) {
-  std::vector<std::shared_ptr<CancelToken>> tokens;
+  std::vector<Request> inflight;
   size_t dropped = 0;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->dead) return;
     conn->dead = true;
-    // Never-dispatched requests die with the peer. They were admitted, so
-    // they complete here; every dispatched one completes in ServeRequest.
+    // Never-started requests die with the peer. They were admitted, so
+    // they complete here; every started one completes in Complete.
     dropped = conn->pending.size();
     conn->pending.clear();
-    for (auto& [id, token] : conn->inflight) tokens.push_back(token);
-    // Retire the connection's slots here; ServeRequest's own erase is a
-    // no-op afterwards, so the gauge never double-decrements.
+    for (auto& [id, request] : conn->inflight) inflight.push_back(request);
+    // Retire the connection's slots here; Complete's own erase is a no-op
+    // afterwards, so the gauge never double-decrements.
     inst_.pipeline_depth->Add(-static_cast<int64_t>(conn->inflight.size()));
     conn->inflight.clear();
     conn->out.clear();
     conn->out_offset = 0;
   }
   if (dropped != 0) inst_.completed->Add(static_cast<int64_t>(dropped));
-  // Fire outside the lock: workers' sinks take conn->mu.
-  for (const std::shared_ptr<CancelToken>& token : tokens) token->Cancel();
-  if (count_disconnect && !tokens.empty()) {
-    inst_.disconnect_cancels->Add(static_cast<int64_t>(tokens.size()));
+  // Fire outside the lock: streaming sinks take conn->mu.
+  for (const Request& request : inflight) request->token.Cancel();
+  if (count_disconnect && !inflight.empty()) {
+    inst_.disconnect_cancels->Add(static_cast<int64_t>(inflight.size()));
   }
 }
 
@@ -346,6 +324,7 @@ void NetServer::EnqueueOutput(const std::shared_ptr<Connection>& conn,
 
 NetServer::FlushResult NetServer::FlushOutput(Connection* conn) {
   std::lock_guard<std::mutex> lock(conn->mu);
+  if (conn->dead) return FlushResult::kDead;  // killed on a pool thread
   while (conn->out_offset < conn->out.size()) {
     const ssize_t n =
         ::send(conn->fd, conn->out.data() + conn->out_offset,
@@ -381,10 +360,20 @@ void NetServer::EventLoop() {
     ::close(conn->fd);
     connections_.erase(conn->fd);
   };
+  // Writes what the socket takes now and arms write interest for the
+  // rest; reaps a connection that died, here or on a pool thread.
+  auto flush = [&](const std::shared_ptr<Connection>& conn) {
+    const FlushResult result = FlushOutput(conn.get());
+    if (result == FlushResult::kDead) {
+      close_connection(conn, /*count_disconnect=*/true);
+    } else {
+      poller->Update(conn->fd, result == FlushResult::kBlocked);
+    }
+  };
 
   while (!stopping_.load()) {
-    // Worker-side output first: flush what can go now, arm write interest
-    // for the rest, reap worker-killed connections.
+    // Pool-side output first: flush what can go now, arm write interest
+    // for the rest, reap connections killed on a pool thread.
     std::vector<std::shared_ptr<Connection>> dirty;
     {
       std::lock_guard<std::mutex> lock(dirty_mu_);
@@ -392,28 +381,11 @@ void NetServer::EventLoop() {
     }
     for (const std::shared_ptr<Connection>& conn : dirty) {
       auto it = connections_.find(conn->fd);
-      if (it == connections_.end() || it->second != conn) continue;
-      bool dead;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        dead = conn->dead;
-      }
-      if (dead) {
-        close_connection(conn, /*count_disconnect=*/false);
-        continue;
-      }
-      switch (FlushOutput(conn.get())) {
-        case FlushResult::kDrained:
-          poller->Update(conn->fd, false);
-          break;
-        case FlushResult::kBlocked:
-          poller->Update(conn->fd, true);
-          break;
-        case FlushResult::kDead:
-          close_connection(conn, /*count_disconnect=*/true);
-          break;
-      }
+      if (it != connections_.end() && it->second == conn) flush(conn);
     }
+
+    // Start what freed slots allow, before sleeping.
+    DrainRing();
 
     poller->Wait(&events);
     if (stopping_.load()) break;
@@ -472,23 +444,12 @@ void NetServer::EventLoop() {
           break;
         }
       }
-      if (!closed && ev.writable) {
-        switch (FlushOutput(conn.get())) {
-          case FlushResult::kDrained:
-            poller->Update(conn->fd, false);
-            break;
-          case FlushResult::kBlocked:
-            break;  // interest already armed
-          case FlushResult::kDead:
-            close_connection(conn, /*count_disconnect=*/true);
-            break;
-        }
-      }
+      if (!closed && ev.writable) flush(conn);
     }
   }
 
   // Shutdown sweep: cancel everything, close everything. Tokens fire so
-  // workers blocked in SearchStream wind down promptly.
+  // started requests wind down promptly.
   std::vector<std::shared_ptr<Connection>> remaining;
   remaining.reserve(connections_.size());
   for (auto& [fd, conn] : connections_) remaining.push_back(conn);
@@ -503,6 +464,18 @@ void NetServer::EventLoop() {
 
 bool NetServer::HandleInput(const std::shared_ptr<Connection>& conn,
                             const char* data, size_t n) {
+  // A framing violation is unrecoverable: one PROTOCOL_ERROR status, then
+  // the caller drops the peer.
+  auto protocol_error = [&](uint32_t request_id, std::string message) {
+    inst_.protocol_errors->Add();
+    WireStatus status;
+    status.code = WireCode::kProtocolError;
+    status.message = std::move(message);
+    std::string bytes;
+    AppendStatusFrame(request_id, status, &bytes);
+    EnqueueOutput(conn, std::move(bytes));
+    return false;
+  };
   conn->reader.Feed(data, n);
   while (true) {
     Frame frame;
@@ -510,16 +483,8 @@ bool NetServer::HandleInput(const std::shared_ptr<Connection>& conn,
     switch (conn->reader.Next(&frame, &error)) {
       case FrameReader::Result::kNeedMore:
         return true;
-      case FrameReader::Result::kError: {
-        inst_.protocol_errors->Add();
-        WireStatus status;
-        status.code = WireCode::kProtocolError;
-        status.message = error.message();
-        std::string bytes;
-        AppendStatusFrame(/*request_id=*/0, status, &bytes);
-        EnqueueOutput(conn, std::move(bytes));
-        return false;
-      }
+      case FrameReader::Result::kError:
+        return protocol_error(/*request_id=*/0, error.message());
       case FrameReader::Result::kFrame:
         break;
     }
@@ -533,17 +498,10 @@ bool NetServer::HandleInput(const std::shared_ptr<Connection>& conn,
       case kFrameStatsRequest:
         HandleStatsRequestFrame(conn, frame);
         break;
-      default: {
+      default:
         // Server-bound connections must not carry response-type frames.
-        inst_.protocol_errors->Add();
-        WireStatus status;
-        status.code = WireCode::kProtocolError;
-        status.message = "unexpected server-bound frame type";
-        std::string bytes;
-        AppendStatusFrame(frame.header.request_id, status, &bytes);
-        EnqueueOutput(conn, std::move(bytes));
-        return false;
-      }
+        return protocol_error(frame.header.request_id,
+                              "unexpected server-bound frame type");
     }
   }
 }
@@ -577,64 +535,54 @@ void NetServer::HandleRequestFrame(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  enum class Verdict { kAdmitted, kDuplicate, kPipelineFull, kDeadPeer };
-  Verdict verdict = Verdict::kAdmitted;
+  bool duplicate = false;
+  size_t queued = 0;  // the connection's pending requests after admission
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->dead) {
-      verdict = Verdict::kDeadPeer;
-    } else if (conn->inflight.count(id) != 0) {
-      verdict = Verdict::kDuplicate;
-    } else if (conn->inflight.size() >= options_.max_pipeline) {
-      // inflight covers queued AND running requests (ids register at
-      // admission), so this is the full pipelining bound.
-      verdict = Verdict::kPipelineFull;
-    } else {
-      PendingRequest pending;
-      pending.wire = std::move(wire);
-      pending.token = std::make_shared<CancelToken>();
-      if (pending.wire.deadline_ms > 0) {
+    if (conn->dead) return;
+    duplicate = conn->inflight.count(id) != 0;
+    // inflight covers queued AND running requests (ids register at
+    // admission), so this is the full pipelining bound.
+    if (!duplicate && conn->inflight.size() < options_.max_pipeline) {
+      auto pending = std::make_shared<PendingRequest>();
+      pending->wire = std::move(wire);
+      if (pending->wire.deadline_ms > 0) {
         // Armed at admission: time spent queued behind the peer's own
         // pipeline counts against the peer's deadline.
-        pending.token->SetDeadlineAfter(
-            std::chrono::milliseconds(pending.wire.deadline_ms));
+        pending->token.SetDeadlineAfter(
+            std::chrono::milliseconds(pending->wire.deadline_ms));
       }
-      conn->inflight.emplace(id, pending.token);
+      conn->inflight.emplace(id, pending);
       conn->pending.push_back(std::move(pending));
+      queued = conn->pending.size();
     }
   }
-  switch (verdict) {
-    case Verdict::kAdmitted:
-      inst_.admitted->Add();
-      inst_.pipeline_depth->Add(1);
-      RingPush(conn);
-      break;
-    case Verdict::kDuplicate:
-      reject(WireCode::kInvalidArgument,
-             "request_id is already in flight on this connection");
-      break;
-    case Verdict::kPipelineFull:
-      reject(WireCode::kResourceExhausted,
-             "pipeline limit reached (" +
-                 std::to_string(options_.max_pipeline) +
-                 " requests in flight); retry after a response arrives");
-      break;
-    case Verdict::kDeadPeer:
-      break;
+  if (duplicate) {
+    reject(WireCode::kInvalidArgument,
+           "request_id is already in flight on this connection");
+  } else if (queued == 0) {
+    reject(WireCode::kResourceExhausted,
+           "pipeline limit reached (" + std::to_string(options_.max_pipeline) +
+               " requests in flight); retry after a response arrives");
+  } else {
+    inst_.admitted->Add();
+    inst_.pipeline_depth->Add(1);
+    // A connection sits in the ring exactly while it has pending requests.
+    if (queued == 1) ring_.push_back(conn);
   }
 }
 
 void NetServer::HandleCancelFrame(const std::shared_ptr<Connection>& conn,
                                   const Frame& frame) {
-  std::shared_ptr<CancelToken> token;
+  Request request;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     auto it = conn->inflight.find(frame.header.request_id);
-    if (it != conn->inflight.end()) token = it->second;
+    if (it != conn->inflight.end()) request = it->second;
   }
   // Unknown ids are ignored: a CANCEL racing the request's own STATUS is
   // the normal case, not an error.
-  if (token != nullptr) token->Cancel();
+  if (request != nullptr) request->token.Cancel();
 }
 
 void NetServer::HandleStatsRequestFrame(const std::shared_ptr<Connection>& conn,
@@ -649,105 +597,91 @@ void NetServer::HandleStatsRequestFrame(const std::shared_ptr<Connection>& conn,
 }
 
 // ---------------------------------------------------------------------------
-// Query workers.
+// Starting and completing requests.
 // ---------------------------------------------------------------------------
 
-void NetServer::WorkerLoop() {
-  while (true) {
-    std::shared_ptr<Connection> conn;
-    PendingRequest request;
-    bool have = false;
+void NetServer::DrainRing() {
+  // One started request per pool thread (a fused ALAE request is one task):
+  // more would only queue inside the scheduler instead of in the fair ring.
+  const size_t limit =
+      static_cast<size_t>(std::max(1, scheduler_->pool().threads()));
+  const size_t per_frame =
+      std::min(std::max<size_t>(1, options_.hits_per_frame), kMaxHitsPerFrame);
+  while (!ring_.empty()) {
     {
-      std::unique_lock<std::mutex> lock(admit_mu_);
-      admit_cv_.wait(lock, [this] { return stopping_.load() || !ring_.empty(); });
-      if (stopping_.load()) return;
-      conn = ring_.front();
-      ring_.pop_front();
-      {
-        std::lock_guard<std::mutex> cl(conn->mu);
-        if (!conn->pending.empty()) {
-          request = std::move(conn->pending.front());
-          conn->pending.pop_front();
-          have = true;
-        }
-        // ONE request per turn: if the connection still has work, it goes
-        // to the BACK of the ring — round-robin across connections.
-        if (!conn->pending.empty()) {
-          ring_.push_back(conn);
-        } else {
-          conn->in_ring = false;
-        }
-      }
-      if (!ring_.empty()) admit_cv_.notify_one();
+      std::lock_guard<std::mutex> lock(dirty_mu_);
+      if (started_ >= limit) return;
     }
-    if (have) ServeRequest(conn, std::move(request));
+    std::shared_ptr<Connection> conn = std::move(ring_.front());
+    ring_.pop_front();
+    Request r;
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      if (conn->pending.empty()) continue;  // its connection died
+      r = std::move(conn->pending.front());
+      conn->pending.pop_front();
+      // ONE request per turn: if the connection still has work, it goes to
+      // the BACK of the ring — round-robin across connections.
+      if (!conn->pending.empty()) ring_.push_back(conn);
+    }
+
+    r->request.query =
+        Sequence::FromString(r->wire.query, Alphabet::Get(options_.alphabet));
+    r->request.scheme = r->wire.scheme;
+    r->request.threshold = r->wire.threshold;
+    r->request.max_hits = r->wire.max_hits;
+    r->request.allow_partial = r->wire.allow_partial;
+    r->request.cancel = &r->token;
+    r->trace = scheduler_->tracer().MaybeSample();
+    r->request.trace = r->trace.get();
+    {
+      std::lock_guard<std::mutex> lock(dirty_mu_);
+      ++started_;
+    }
+    scheduler_->StartStream(
+        r->wire.backend, r->request,
+        [this, conn, r, per_frame](const AlignmentHit& hit) {
+          {
+            std::lock_guard<std::mutex> lock(conn->mu);
+            // A dead peer stops the stream: the cap token fires and the
+            // engines short-circuit instead of computing unread hits.
+            if (conn->dead) return false;
+          }
+          r->chunk.push_back(hit);
+          if (r->chunk.size() >= per_frame) SendHits(conn, r.get());
+          return true;
+        },
+        [this, conn, r](api::StatusOr<api::EngineStats> result) {
+          Complete(conn, r.get(), result);
+        });
   }
 }
 
-void NetServer::ServeRequest(const std::shared_ptr<Connection>& conn,
-                             PendingRequest pending) {
-  const uint32_t id = pending.wire.request_id;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->dead) {
-      if (conn->inflight.erase(id) != 0) inst_.pipeline_depth->Add(-1);
-      inst_.completed->Add();
-      return;
-    }
-  }
+void NetServer::SendHits(const std::shared_ptr<Connection>& conn,
+                         PendingRequest* r) {
+  if (r->chunk.empty()) return;
+  const int64_t start = r->trace ? obs::Trace::NowNanos() : 0;
+  std::string bytes;
+  AppendHitsFrame(r->wire.request_id, r->chunk.data(), r->chunk.size(),
+                  &bytes);
+  r->chunk.clear();
+  EnqueueOutput(conn, std::move(bytes));
+  if (r->trace) r->trace->AddSpan("serialize", start, obs::Trace::NowNanos());
+}
 
-  api::SearchRequest request;
-  request.query = Sequence::FromString(pending.wire.query,
-                                       Alphabet::Get(options_.alphabet));
-  request.scheme = pending.wire.scheme;
-  request.threshold = pending.wire.threshold;
-  request.max_hits = pending.wire.max_hits;
-  request.allow_partial = pending.wire.allow_partial;
-  request.cancel = pending.token.get();
-
-  // Front-end-owned trace sampling: by supplying the trace ourselves we can
-  // append the "serialize" spans the scheduler never sees before handing
-  // the finished trace back to the shared tracer (slow-query log).
-  std::unique_ptr<obs::Trace> trace = scheduler_->tracer().MaybeSample();
-  request.trace = trace.get();
-
-  const size_t per_frame =
-      std::min(std::max<size_t>(1, options_.hits_per_frame), kMaxHitsPerFrame);
-  std::vector<AlignmentHit> chunk;
-  chunk.reserve(per_frame);
-  auto flush = [&] {
-    if (chunk.empty()) return;
-    const int64_t start = trace ? obs::Trace::NowNanos() : 0;
-    std::string bytes;
-    AppendHitsFrame(id, chunk.data(), chunk.size(), &bytes);
-    chunk.clear();
-    EnqueueOutput(conn, std::move(bytes));
-    if (trace) trace->AddSpan("serialize", start, obs::Trace::NowNanos());
-  };
-
-  api::StatusOr<api::EngineStats> result = scheduler_->SearchStream(
-      pending.wire.backend, request, [&](const AlignmentHit& hit) {
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          // A dead peer stops the stream: SearchStream's cap token fires
-          // and the engines short-circuit instead of computing unread hits.
-          if (conn->dead) return false;
-        }
-        chunk.push_back(hit);
-        if (chunk.size() >= per_frame) flush();
-        return true;
-      });
-
+void NetServer::Complete(const std::shared_ptr<Connection>& conn,
+                         PendingRequest* r,
+                         const api::StatusOr<api::EngineStats>& result) {
+  const uint32_t id = r->wire.request_id;
   WireStatus status;
   if (result.ok()) {
-    flush();
+    SendHits(conn, r);
     status.code = WireCode::kOk;
     status.stats.hits = result->hits_emitted;
     status.stats.engine_micros = static_cast<uint64_t>(result->seconds * 1e6);
     status.stats.truncated = result->truncated;
     status.stats.truncated_by_deadline = result->truncated_by_deadline;
   } else {
-    chunk.clear();  // an errored request keeps its stream incomplete
     status.code = WireCodeFor(result.status().code());
     status.retryable = IsRetryable(status.code);
     status.message = result.status().message();
@@ -761,15 +695,22 @@ void NetServer::ServeRequest(const std::shared_ptr<Connection>& conn,
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->inflight.erase(id) != 0) inst_.pipeline_depth->Add(-1);
   }
-  const int64_t serialize_start = trace ? obs::Trace::NowNanos() : 0;
+  const int64_t serialize_start = r->trace ? obs::Trace::NowNanos() : 0;
   std::string bytes;
   AppendStatusFrame(id, status, &bytes);
   EnqueueOutput(conn, std::move(bytes));
-  if (trace) {
-    trace->AddSpan("serialize", serialize_start, obs::Trace::NowNanos());
-    scheduler_->tracer().Finish(std::move(trace));
+  if (r->trace) {
+    r->trace->AddSpan("serialize", serialize_start, obs::Trace::NowNanos());
+    scheduler_->tracer().Finish(std::move(r->trace));
   }
   inst_.completed->Add();
+
+  // Free the slot last: once started_ is zero Stop may return. The wake
+  // lets the event loop start the next ring request.
+  std::lock_guard<std::mutex> lock(dirty_mu_);
+  --started_;
+  Wake();
+  idle_cv_.notify_all();
 }
 
 }  // namespace net

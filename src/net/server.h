@@ -29,13 +29,6 @@ struct NetServerOptions {
   int port = 0;
   int backlog = 64;
 
-  // Query worker threads draining the admission ring; each blocks inside
-  // one SearchStream call, so this bounds how many requests are in the
-  // scheduler concurrently on this server's behalf. A fused ALAE request
-  // is a single pool task, so fewer workers than pool threads would leave
-  // cores idle under load; 0 picks the scheduler pool's thread count.
-  size_t workers = 0;
-
   // Force the portable poll() event loop even on Linux (tests exercise
   // both poller backends through this).
   bool force_poll = false;
@@ -65,18 +58,17 @@ struct NetServerOptions {
 // request's hits back as HITS frames while the engines run, and finishes
 // every request with exactly one STATUS frame.
 //
-// Concurrency model — three kinds of threads:
-//   * ONE event-loop thread owns every socket: accepts connections, reads
-//     bytes into per-connection FrameReaders, writes queued output. epoll
-//     on Linux, portable poll() elsewhere (or with force_poll). It never
-//     blocks on a query.
-//   * `workers` query threads drain the admission ring: pop a connection,
-//     take ONE of its pending requests, run QueryScheduler::SearchStream,
-//     re-queue the connection at the tail if it has more pending. Taking
-//     one request per turn round-robins service across connections, so a
-//     client that pipelines 100 requests cannot starve its neighbours —
-//     fairness is per-connection, not first-come-first-served.
-//   * Callers' thread(s): Start() / Stop().
+// Concurrency model — two kinds of threads:
+//   * ONE event-loop thread owns every socket (epoll on Linux, portable
+//     poll() elsewhere or with force_poll) and drains the admission ring:
+//     pop a connection, take ONE of its pending requests, hand it to
+//     QueryScheduler::StartStream (which returns at once), re-queue the
+//     connection at the tail if it has more pending. One request per turn
+//     round-robins service across connections, so a client that pipelines
+//     100 requests cannot starve its neighbours. At most as many requests
+//     are started as the scheduler pool has threads.
+//   * The scheduler pool's threads do all query work and run each
+//     completion, which queues the STATUS frame and frees the started slot.
 //
 // Cancellation: every admitted request owns a CancelToken, armed with the
 // request's deadline_ms at admission (queue wait counts against the
@@ -102,13 +94,13 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  // Binds, listens, and spins up the event loop + workers. Fails with
-  // kInternal (carrying errno text) if the address cannot be bound.
+  // Binds, listens, and spins up the event loop. Fails with kInternal
+  // (carrying errno text) if the address cannot be bound.
   api::Status Start();
 
   // Graceful shutdown: stops accepting, cancels every in-flight request,
-  // unblocks and joins the workers, closes every connection. In-flight
-  // queries observe their tokens and wind down before Stop returns.
+  // closes every connection, and returns once every started request's
+  // completion has run.
   void Stop();
 
   // The bound port (after Start); 0 before.
@@ -139,14 +131,21 @@ class NetServer {
   }
 
  private:
+  // One admitted request: queued in its connection's `pending` until the
+  // event loop starts it, then shared by its streaming sink and completion.
   struct PendingRequest {
     WireRequest wire;
-    std::shared_ptr<CancelToken> token;
+    CancelToken token;
+    api::SearchRequest request;  // what the scheduler runs
+    // Sampled here, so the server can add the "serialize" spans too.
+    std::unique_ptr<obs::Trace> trace;
+    std::vector<AlignmentHit> chunk;  // hits not yet framed
   };
+  using Request = std::shared_ptr<PendingRequest>;
 
   // All mutable connection state. The event loop owns the fd and the
-  // reader; `mu` guards the fields shared with workers (pending queue,
-  // in-flight tokens, output buffer, liveness).
+  // reader; `mu` guards the fields shared with pool threads (pending
+  // queue, in-flight requests, output buffer, liveness).
   struct Connection {
     explicit Connection(int fd_in, uint32_t max_payload)
         : fd(fd_in), reader(max_payload) {}
@@ -155,16 +154,14 @@ class NetServer {
     FrameReader reader;  // event-loop thread only
 
     std::mutex mu;
-    std::deque<PendingRequest> pending;
-    std::unordered_map<uint32_t, std::shared_ptr<CancelToken>> inflight;
+    std::deque<Request> pending;
+    std::unordered_map<uint32_t, Request> inflight;  // queued + started
     std::string out;        // bytes queued for the wire
     size_t out_offset = 0;  // prefix of `out` already written
     bool dead = false;      // closed or poisoned; drop further output
-    bool in_ring = false;   // present in the admission ring
   };
 
   void EventLoop();
-  void WorkerLoop();
 
   // Feeds freshly-read bytes through the connection's FrameReader and
   // dispatches complete frames. Returns false when the connection must be
@@ -180,9 +177,14 @@ class NetServer {
   void HandleStatsRequestFrame(const std::shared_ptr<Connection>& conn,
                                const Frame& frame);
 
-  // Runs one admitted request to completion (hits streamed, status sent).
-  void ServeRequest(const std::shared_ptr<Connection>& conn,
-                    PendingRequest request);
+  // Starts ring requests round-robin while fewer than the pool's thread
+  // count are started (event-loop thread).
+  void DrainRing();
+  // Frames the request's buffered hits as one HITS frame.
+  void SendHits(const std::shared_ptr<Connection>& conn, PendingRequest* r);
+  // Sends the request's final STATUS frame and frees its started slot.
+  void Complete(const std::shared_ptr<Connection>& conn, PendingRequest* r,
+                const api::StatusOr<api::EngineStats>& result);
 
   // Appends encoded bytes to the connection's output buffer and wakes the
   // event loop to write them. Silently drops output for dead connections.
@@ -195,14 +197,11 @@ class NetServer {
   FlushResult FlushOutput(Connection* conn);
 
   // Marks the connection dead and fires every in-flight token (disconnect
-  // semantics). Safe to call from either the event loop or a worker.
+  // semantics). Safe to call from the event loop or a pool thread.
   // `count_disconnect` separates genuine peer-initiated deaths (counted in
   // disconnect_cancels_) from the server's own Stop() sweep.
   void KillConnection(const std::shared_ptr<Connection>& conn,
                       bool count_disconnect);
-
-  // Admission-ring plumbing (admit_mu_).
-  void RingPush(const std::shared_ptr<Connection>& conn);
 
   void Wake();  // self-pipe: nudge a blocked poller
 
@@ -213,26 +212,26 @@ class NetServer {
   int wake_pipe_[2] = {-1, -1};
   int port_ = 0;
   std::atomic<bool> stopping_{false};
-  bool started_ = false;
+  bool running_ = false;  // between Start and Stop
 
   std::thread loop_thread_;
-  std::vector<std::thread> workers_;
 
-  // fd -> connection; event-loop thread only (workers reach connections
-  // through the shared_ptrs they were handed).
+  // fd -> connection; event-loop thread only (pool threads reach
+  // connections through the shared_ptrs their callbacks hold).
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
 
-  // Admission ring: connections with pending requests, drained round-robin.
-  // Guards the ring AND Connection::in_ring.
-  std::mutex admit_mu_;
-  std::condition_variable admit_cv_;
+  // Admission ring: exactly the connections with pending requests, drained
+  // round-robin by the event loop alone.
   std::deque<std::shared_ptr<Connection>> ring_;
 
-  // Connections with freshly-enqueued output (or a worker-side kill); the
+  // Connections with freshly-enqueued output (or a pool-side kill); the
   // event loop drains this after every wakeup and flushes/updates poll
-  // interest. Workers never touch the poller directly.
+  // interest. Also guards started_: requests whose completion has not run
+  // yet (Stop waits on idle_cv_ for zero).
   std::mutex dirty_mu_;
   std::vector<std::shared_ptr<Connection>> dirty_;
+  size_t started_ = 0;
+  std::condition_variable idle_cv_;
 
   // Registry-backed instruments (`alae_net_*` in the scheduler's
   // registry), resolved once at construction.

@@ -16,15 +16,13 @@ namespace alae {
 namespace service {
 namespace {
 
-// Manifest v3 ("ALAESRV3"): v2 plus a leading generation number, with the
-// data files carrying that generation in their names — a save writes a
-// fresh generation without touching the files the current manifest points
-// at, so the manifest rename is the sole cutover. v2 ("ALAESRV2", plain
-// file names = generation 0) and v1 ("ALAESRV1", written by
+// Manifest v3 ("ALAESRV3"): a leading generation number, with the data
+// files carrying that generation in their names — a save writes a fresh
+// generation without touching the files the current manifest points at,
+// so the manifest rename is the sole cutover. v1 ("ALAESRV1", written by
 // ShardedCorpus::Save; the degenerate live corpus with one document and
-// nothing pending) stay loadable.
+// nothing pending) stays loadable.
 constexpr uint64_t kLiveManifestMagicV3 = 0x414C414553525633ULL;
-constexpr uint64_t kLiveManifestMagicV2 = 0x414C414553525632ULL;
 constexpr uint64_t kBaseManifestMagic = 0x414C414553525631ULL;
 // Tombstone journal ("ALAETOMB"): doc_id/begin/end triples to EOF.
 constexpr uint64_t kJournalMagic = 0x414C4145544F4D42ULL;
@@ -54,7 +52,7 @@ std::string JournalFileName(const std::string& dir, uint64_t gen) {
 }
 
 // The generation a corpus data file's name carries: <stem>.g<gen>.<ext>
-// maps to <gen>, anything else (the plain v2 names) to 0.
+// maps to <gen>, anything else (the plain names of a v1 directory) to 0.
 uint64_t FileNameGeneration(const std::string& name) {
   const size_t ext = name.rfind('.');
   if (ext == std::string::npos || ext == 0) return 0;
@@ -93,7 +91,7 @@ void RemoveOtherGenerations(const std::string& dir, uint64_t keep_gen) {
 }
 
 // The generation the next save must write: one past the generation the
-// directory's current manifest names (a v2 manifest or no manifest at all
+// directory's current manifest names (a v1 manifest or no manifest at all
 // names generation 0, so the first v3 save writes generation 1 and the
 // plain-named files survive until its cutover completes).
 uint64_t NextGeneration(const std::string& dir) {
@@ -564,12 +562,7 @@ api::StatusOr<std::unique_ptr<LiveCorpus>> LiveCorpus::Load(
     return live;
   }
   uint64_t gen = 0;
-  if (magic == kLiveManifestMagicV3) {
-    if (!GetU64(manifest, &gen)) {
-      return api::Status::InvalidArgument("unreadable corpus manifest in " +
-                                          dir);
-    }
-  } else if (magic != kLiveManifestMagicV2) {
+  if (magic != kLiveManifestMagicV3 || !GetU64(manifest, &gen)) {
     return api::Status::InvalidArgument("unreadable corpus manifest in " +
                                         dir);
   }
@@ -847,6 +840,10 @@ uint64_t LiveCorpus::compactions() const {
 
 uint64_t LiveCorpus::background_compactions() const {
   return compactor_ ? compactor_->runs() : 0;
+}
+
+void LiveCorpus::DrainCompactions() const {
+  if (compactor_ != nullptr) compactor_->Drain();
 }
 
 std::vector<LiveCorpus::DocumentInfo> LiveCorpus::Documents() const {

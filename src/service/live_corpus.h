@@ -100,8 +100,8 @@ class LiveCorpus : public CorpusSource {
       LiveCorpusOptions options = {});
 
   // Loads a directory written by Save (live manifest v3 with
-  // generation-stamped data files, or the older ungenerated v2, including
-  // pending deltas and the tombstone journal) or by ShardedCorpus::Save
+  // generation-stamped data files, including pending deltas and the
+  // tombstone journal) or by ShardedCorpus::Save
   // (v1; wrapped as a single-document live corpus). Stale staging files
   // from an interrupted save/compaction (corpus.manifest.tmp,
   // compact.tmp, data files of other generations) are ignored and cleaned
@@ -155,6 +155,9 @@ class LiveCorpus : public CorpusSource {
   size_t num_tombstones() const;
   uint64_t compactions() const;
   uint64_t background_compactions() const;  // completed background runs
+  // Blocks until no background compaction is pending or running; returns
+  // at once without a background compactor.
+  void DrainCompactions() const;
   std::vector<DocumentInfo> Documents() const;
   std::vector<TombstoneSpan> Tombstones() const;
   std::shared_ptr<const ShardedCorpus> base() const;

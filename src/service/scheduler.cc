@@ -1,6 +1,7 @@
 #include "src/service/scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -19,46 +20,6 @@ namespace alae {
 namespace service {
 namespace {
 
-// Completion latch for one wave's tasks. Callers always Wait before
-// returning, so tasks may safely reference caller-stack state through this.
-class TaskGroup {
- public:
-  explicit TaskGroup(size_t pending) : pending_(pending) {}
-
-  void Done() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--pending_ == 0) cv_.notify_all();
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return pending_ == 0; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  size_t pending_;
-};
-
-// First-error slot shared by a request's slice tasks.
-class ErrorSlot {
- public:
-  void Record(api::Status status) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (status_.ok()) status_ = std::move(status);
-  }
-
-  api::Status Take() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return status_;
-  }
-
- private:
-  std::mutex mu_;
-  api::Status status_;
-};
-
 api::Status SliceError(size_t slice, const api::Status& status) {
   return api::Status(status.code(),
                      "slice " + std::to_string(slice) + ": " +
@@ -75,13 +36,6 @@ bool UseFusedWalk(const api::QueryPlan& plan) {
   return dynamic_cast<const api::AlaePlan*>(&plan) != nullptr &&
          !plan.request().alae.bitset_global_filter;
 }
-
-// Runs `fn` when the scope exits, on every return path.
-template <typename Fn>
-struct Defer {
-  Fn fn;
-  ~Defer() { fn(); }
-};
 
 // The token-to-status conversion Aligner::Search performs, for the
 // admission check and the fused walk, which bypasses that layer:
@@ -106,23 +60,41 @@ api::Status TokenStatus(const api::SearchRequest& request, const char* when,
   return api::Status::Ok();
 }
 
+// Why the pool refused `tasks` more tasks: a shutdown closes admission,
+// and that is reported truthfully rather than as transient overload
+// someone might retry against.
+api::Status PoolRefusal(const ThreadPool& pool, size_t tasks) {
+  if (pool.IsShutdown()) {
+    return api::Status::Cancelled("scheduler is shutting down");
+  }
+  return api::Status::ResourceExhausted(
+      "service queue is full (" + std::to_string(pool.QueueDepth()) + "/" +
+      std::to_string(pool.queue_capacity()) +
+      " tasks queued, this wave needs " + std::to_string(tasks) +
+      "); retry with backoff");
+}
+
+api::StatusOr<api::EngineStats> StreamResult(api::QueryOutcome outcome) {
+  if (!outcome.ok()) return outcome.status;
+  return outcome.response.stats;
+}
+
 }  // namespace
 
 // One admitted query: the tokens its engines observe, its compiled plan
-// and the merger its slices publish into. Lives in a deque on Execute's
-// stack, so tasks may hold pointers to it.
+// and the merger its slices publish into. Lives in its call's deque, so
+// tasks may hold pointers to it.
 struct QueryScheduler::Query {
   Query(const CorpusView& view, size_t index, const api::SearchRequest& request,
-        int64_t guard, const api::HitSink* sink, obs::Trace* trace, int root)
+        int64_t guard, const api::HitSink& sink, std::string key)
       : index(index),
+        key(std::move(key)),
         effective(request.cancel),
         cap(&effective),
-        merger(view, guard, request.max_hits,
-               sink != nullptr ? *sink : api::HitSink(), &cap),
-        trace(trace),
-        root(root) {}
+        merger(view, guard, request.max_hits, sink, &cap) {}
 
-  const size_t index;  // position in Execute's request span
+  const size_t index;     // position in the call's request span
+  const std::string key;  // response-cache key
   // Observes the caller's token, carries the scheduler default deadline,
   // and is registered in inflight_ so Shutdown can fire it.
   CancelToken effective;
@@ -130,11 +102,54 @@ struct QueryScheduler::Query {
   // plus the merger firing it once max_hits is met or the sink stops.
   CancelToken cap;
   StreamMerger merger;
-  obs::Trace* const trace;
-  const int root;
   std::unique_ptr<api::QueryPlan> plan;
   bool fused = false;
-  ErrorSlot error;
+  api::Status error;  // the first failure; running tasks set it under Call::mu
+};
+
+// One call from Start to Close, shared by its start, its pool tasks and its
+// epilogue: on Run's stack, or on the heap for StartStream.
+struct QueryScheduler::Call {
+  // Micro-batching unit: consecutive queries of one execution mode whose
+  // tasks run the whole group (one task if fused, one per slice if not).
+  struct Group {
+    size_t begin, end, tasks;
+  };
+
+  std::string_view backend;
+  std::span<const api::SearchRequest> requests;
+  api::HitSink sink;  // empty: collect only
+  obs::Counter* verb = nullptr;
+  // Runs once the call is closed; empty when a caller waits in Run.
+  std::function<void(std::vector<api::QueryOutcome>)> done;
+  api::Status refusal;  // fails the whole call at Start
+  Timer timer;
+  std::vector<api::QueryOutcome> outcomes;
+
+  // Per-request traces: caller-supplied (the caller finishes those), else
+  // sampled from the tracer. roots[i] is the request's "search" span.
+  std::vector<obs::Trace*> traces;
+  std::vector<std::unique_ptr<obs::Trace>> sampled;
+  std::vector<int> roots;
+
+  // One snapshot serves the whole call: a concurrent live-corpus mutation
+  // or compaction swaps state for *later* calls, while this one keeps
+  // reading the slices (and indexes) the snapshot pinned.
+  CorpusView view;
+  std::vector<const api::Aligner*> aligners;
+  std::deque<Query> queries;
+  std::vector<Group> groups;
+  size_t next_group = 0;           // first group no wave has taken yet
+  std::atomic<size_t> pending{0};  // unfinished tasks of the current wave
+  // Queue-wait accounting for traced queries: stamped just before a wave
+  // is submitted, read by the first task that starts running the query.
+  int64_t submit_ns = 0;
+
+  // A caller waiting in Run sleeps on cv until Finish stamps finished_ns;
+  // mu also guards the queries' errors.
+  std::mutex mu;
+  std::condition_variable cv;
+  int64_t finished_ns = 0;
 };
 
 QueryScheduler::QueryScheduler(const CorpusSource& source,
@@ -186,7 +201,7 @@ QueryScheduler::Instruments QueryScheduler::MakeInstruments(
 }
 
 void QueryScheduler::RecordResult(const api::Status& status,
-                                  const api::EngineStats* stats) {
+                                  const api::EngineStats& stats) {
   if (inst_.latency == nullptr) return;  // metrics disabled
   if (!status.ok()) {
     switch (status.code()) {
@@ -205,19 +220,18 @@ void QueryScheduler::RecordResult(const api::Status& status,
     }
     return;
   }
-  if (stats == nullptr) return;
-  inst_.latency->Observe(stats->seconds);
-  if (stats->cache_hits > 0) inst_.response_cache_hits->Add(stats->cache_hits);
-  if (stats->cache_misses > 0) {
-    inst_.response_cache_misses->Add(stats->cache_misses);
+  inst_.latency->Observe(stats.seconds);
+  if (stats.cache_hits > 0) inst_.response_cache_hits->Add(stats.cache_hits);
+  if (stats.cache_misses > 0) {
+    inst_.response_cache_misses->Add(stats.cache_misses);
   }
-  if (stats->shard_cache_hits > 0) {
-    inst_.fragment_cache_hits->Add(stats->shard_cache_hits);
+  if (stats.shard_cache_hits > 0) {
+    inst_.fragment_cache_hits->Add(stats.shard_cache_hits);
   }
-  if (stats->shard_cache_misses > 0) {
-    inst_.fragment_cache_misses->Add(stats->shard_cache_misses);
+  if (stats.shard_cache_misses > 0) {
+    inst_.fragment_cache_misses->Add(stats.shard_cache_misses);
   }
-  const DpCounters& c = stats->counters;
+  const DpCounters& c = stats.counters;
   if (const uint64_t cells = c.Calculated(); cells > 0) {
     inst_.dp_cells->Add(cells);
   }
@@ -247,7 +261,7 @@ void QueryScheduler::Shutdown() {
 api::StatusOr<api::SearchResponse> QueryScheduler::Search(
     std::string_view backend, const api::SearchRequest& request) {
   std::vector<api::QueryOutcome> outcomes =
-      Execute(backend, {&request, 1}, nullptr, inst_.requests_search);
+      Run(backend, {&request, 1}, {}, inst_.requests_search);
   if (!outcomes[0].ok()) return outcomes[0].status;
   return std::move(outcomes[0].response);
 }
@@ -255,21 +269,53 @@ api::StatusOr<api::SearchResponse> QueryScheduler::Search(
 std::vector<api::QueryOutcome> QueryScheduler::SearchBatch(
     std::string_view backend,
     const std::vector<api::SearchRequest>& requests) {
-  return Execute(backend, requests, nullptr, inst_.requests_search);
+  return Run(backend, requests, {}, inst_.requests_search);
 }
 
 api::StatusOr<api::EngineStats> QueryScheduler::SearchStream(
     std::string_view backend, const api::SearchRequest& request,
     const api::HitSink& sink) {
-  std::vector<api::QueryOutcome> outcomes =
-      Execute(backend, {&request, 1}, &sink, inst_.requests_stream);
-  if (!outcomes[0].ok()) return outcomes[0].status;
-  return outcomes[0].response.stats;
+  return StreamResult(
+      std::move(Run(backend, {&request, 1}, sink, inst_.requests_stream)[0]));
 }
 
-api::Status QueryScheduler::RunSlice(const CorpusView& view, size_t slice,
-                                     const api::Aligner* aligner, Query* q) {
-  obs::ScopedSpan execute_span(q->trace, "execute", q->root);
+void QueryScheduler::StartStream(std::string_view backend,
+                                 const api::SearchRequest& request,
+                                 const api::HitSink& sink, StreamDone done) {
+  Call* call = new Call{.backend = backend,
+                        .requests = {&request, 1},
+                        .sink = sink,
+                        .verb = inst_.requests_stream};
+  call->done = [done = std::move(done)](
+                   std::vector<api::QueryOutcome> outcomes) {
+    done(StreamResult(std::move(outcomes[0])));
+  };
+  // Admission compiles, and may replay a cached answer into the sink: a
+  // pool task, so the caller never does either. Refused, it only fails.
+  if (!pool_.TrySubmit([this, call] { Start(call); })) {
+    call->refusal = PoolRefusal(pool_, 1);
+    Start(call);
+  }
+}
+
+std::vector<api::QueryOutcome> QueryScheduler::Run(
+    std::string_view backend, std::span<const api::SearchRequest> requests,
+    const api::HitSink& sink, obs::Counter* verb) {
+  Call call{.backend = backend, .requests = requests, .sink = sink,
+            .verb = verb};
+  Start(&call);
+  {
+    std::unique_lock<std::mutex> lock(call.mu);
+    call.cv.wait(lock, [&call] { return call.finished_ns != 0; });
+  }
+  return Close(call);
+}
+
+api::Status QueryScheduler::RunSlice(const Call& call, size_t slice,
+                                     Query* q) {
+  obs::ScopedSpan execute_span(call.traces[q->index], "execute",
+                               call.roots[q->index]);
+  const CorpusView& view = call.view;
   StreamMerger& merger = q->merger;
   const bool frag = shard_cache_.capacity() > 0;
   std::string fkey;
@@ -289,7 +335,7 @@ api::Status QueryScheduler::RunSlice(const CorpusView& view, size_t slice,
   // as long as the slice *content* does, however the frontier moves.
   std::vector<AlignmentHit> raw;
   bool cut = false;  // the merger refused a hit: the run stopped early
-  api::Status status = aligner->Search(
+  api::Status status = call.aligners[slice]->Search(
       *q->plan,
       [&](const AlignmentHit& hit) {
         if (frag) raw.push_back(hit);
@@ -308,7 +354,7 @@ api::Status QueryScheduler::RunSlice(const CorpusView& view, size_t slice,
   }
   // Close unconditionally (exactly once per slice): even a failed slice
   // merged its stats and must unblock buffered successors — the overall
-  // request fails through the error slot, not through a stalled merge.
+  // request fails through its error, not through a stalled merge.
   merger.Close(slice, stats);
   // A slice the cap token aborted because the stream is already satisfied
   // is the short-circuit working, not a failure.
@@ -320,8 +366,10 @@ api::Status QueryScheduler::RunSlice(const CorpusView& view, size_t slice,
   return SliceError(slice, status);
 }
 
-api::Status QueryScheduler::RunFused(const CorpusView& view, Query* q) {
-  obs::ScopedSpan execute_span(q->trace, "execute", q->root);
+api::Status QueryScheduler::RunFused(const Call& call, Query* q) {
+  obs::ScopedSpan execute_span(call.traces[q->index], "execute",
+                               call.roots[q->index]);
+  const CorpusView& view = call.view;
   const api::QueryPlan& plan = *q->plan;
   const api::SearchRequest& request = plan.request();
   const size_t slices = view.slices.size();
@@ -400,81 +448,42 @@ api::Status QueryScheduler::RunFused(const CorpusView& view, Query* q) {
   return api::Status::Ok();
 }
 
-std::vector<api::QueryOutcome> QueryScheduler::Execute(
-    std::string_view backend, std::span<const api::SearchRequest> requests,
-    const api::HitSink* sink, obs::Counter* verb) {
-  Timer timer;
-  std::vector<api::QueryOutcome> outcomes(requests.size());
-  if (requests.empty()) return outcomes;
-  if (verb != nullptr) verb->Add(requests.size());
-
-  // Lifecycle registration: a call admitted here is guaranteed to finish
-  // (Shutdown waits for it); a call arriving after Shutdown began is
-  // refused whole.
-  bool refused;
+void QueryScheduler::Start(Call* call) {
+  const size_t n = call->requests.size();
+  if (call->verb != nullptr) call->verb->Add(n);
+  // Lifecycle registration: a call registered here is guaranteed to finish
+  // (Shutdown waits for it); one arriving after Shutdown began is refused.
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    refused = shutdown_;
+    if (shutdown_) {
+      call->refusal = api::Status::Cancelled("scheduler is shut down");
+    }
     ++active_calls_;
   }
-  // Per-query traces: caller-supplied (the caller finishes those), else
-  // sampled from the tracer. roots[i] is the query's "search" root span.
-  std::deque<Query> queries;
-  std::vector<obs::Trace*> traces(requests.size(), nullptr);
-  std::vector<std::unique_ptr<obs::Trace>> sampled(requests.size());
-  std::vector<int> roots(requests.size(), -1);
-  bool any_trace = false;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    traces[i] = requests[i].trace;
-    if (traces[i] == nullptr) {
-      sampled[i] = tracer_.MaybeSample();
-      traces[i] = sampled[i].get();
-    }
-    if (traces[i] != nullptr) {
-      roots[i] = traces[i]->BeginSpan("search");
-      any_trace = true;
-    }
+  std::vector<api::QueryOutcome>& outcomes = call->outcomes;
+  outcomes.resize(n);
+  for (const api::SearchRequest& request : call->requests) {
+    call->sampled.push_back(request.trace ? nullptr : tracer_.MaybeSample());
+    obs::Trace* trace =
+        request.trace ? request.trace : call->sampled.back().get();
+    call->traces.push_back(trace);
+    call->roots.push_back(trace != nullptr ? trace->BeginSpan("search") : -1);
   }
-  // On every return path: close every root, hand sampled traces to the
-  // tracer (slow-query log), fold the outcomes into the metrics, and only
-  // then deregister — once active_calls_ drops, Shutdown may return and the
-  // scheduler may be destroyed.
-  Defer call_exit{[&] {
-    for (size_t i = 0; i < traces.size(); ++i) {
-      if (traces[i] != nullptr) traces[i]->EndSpan(roots[i]);
-      tracer_.Finish(std::move(sampled[i]));
-    }
-    for (const api::QueryOutcome& o : outcomes) {
-      RecordResult(o.status, &o.response.stats);
-    }
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    for (Query& q : queries) inflight_.erase(&q.effective);
-    --active_calls_;
-    lifecycle_cv_.notify_all();
-  }};
-  if (refused) {
-    for (api::QueryOutcome& o : outcomes) {
-      o.status = api::Status::Cancelled("scheduler is shut down");
-    }
-    return outcomes;
-  }
+  auto refuse = [&](const api::Status& status) {
+    for (api::QueryOutcome& o : outcomes) o.status = status;
+    Finish(call);
+  };
+  if (!call->refusal.ok()) return refuse(call->refusal);
 
-  // One snapshot serves the whole call: a concurrent live-corpus mutation
-  // or compaction swaps state for *later* calls, while this one keeps
-  // reading the slices (and indexes) the snapshot pinned.
-  const CorpusView view = source_.Snapshot();
+  const std::string_view backend = call->backend;
+  call->view = source_.Snapshot();
+  const CorpusView& view = call->view;
   const size_t slices = view.slices.size();
-
-  std::vector<const api::Aligner*> aligners;
-  aligners.reserve(slices);
   for (size_t s = 0; s < slices; ++s) {
     api::StatusOr<const api::Aligner*> aligner =
         view.slices[s].aligner_for(backend);
-    if (!aligner.ok()) {
-      for (api::QueryOutcome& o : outcomes) o.status = aligner.status();
-      return outcomes;
-    }
-    aligners.push_back(*aligner);
+    if (!aligner.ok()) return refuse(aligner.status());
+    call->aligners.push_back(*aligner);
   }
 
   // Per-query admission: validation, span check, then the cache — all
@@ -485,14 +494,15 @@ std::vector<api::QueryOutcome> QueryScheduler::Execute(
   // max_hits zeroed — slices must stream their full owned answer (a
   // per-slice cap could starve owned hits out of the merge); the global
   // cap is applied by the StreamMerger and preserved in the cache key.
-  std::vector<std::string> keys(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const api::SearchRequest& request = requests[i];
+  std::deque<Query>& queries = call->queries;
+  for (size_t i = 0; i < call->requests.size(); ++i) {
+    const api::SearchRequest& request = call->requests[i];
     api::QueryOutcome& outcome = outcomes[i];
     // Admission span: validation, span check and the cache lookup. Ends
     // where compilation starts; the scope exit covers every `continue`.
-    obs::ScopedSpan admit_span(traces[i], "admit", roots[i]);
-    if (api::Status status = aligners[0]->Validate(request); !status.ok()) {
+    obs::ScopedSpan admit_span(call->traces[i], "admit", call->roots[i]);
+    if (api::Status status = call->aligners[0]->Validate(request);
+        !status.ok()) {
       outcome.status = status;
       continue;
     }
@@ -504,7 +514,7 @@ std::vector<api::QueryOutcome> QueryScheduler::Execute(
       outcome.status = status;
       outcome.response.stats.truncated = expired;
       outcome.response.stats.truncated_by_deadline = expired;
-      outcome.response.stats.seconds = timer.ElapsedSeconds();
+      outcome.response.stats.seconds = call->timer.ElapsedSeconds();
       continue;
     }
     if (api::Status status = view.ValidateSpan(backend, request);
@@ -512,27 +522,27 @@ std::vector<api::QueryOutcome> QueryScheduler::Execute(
       outcome.status = status;
       continue;
     }
-    keys[i] = ResultCache::KeyFor(backend, request, view.epoch);
-    if (cache_.Lookup(keys[i], &outcome.response)) {
+    std::string key = ResultCache::KeyFor(backend, request, view.epoch);
+    if (cache_.Lookup(key, &outcome.response)) {
       // The cached answer is already sorted and capped; a stream replays
       // it through the sink.
-      if (sink != nullptr) {
+      if (call->sink) {
         for (const AlignmentHit& hit : outcome.response.hits) {
-          if (!(*sink)(hit)) break;
+          if (!call->sink(hit)) break;
         }
       }
       outcome.response.stats.cache_hits = 1;
       outcome.response.stats.cache_misses = 0;
-      outcome.response.stats.seconds = timer.ElapsedSeconds();
+      outcome.response.stats.seconds = call->timer.ElapsedSeconds();
       continue;
     }
     admit_span.End();
-    obs::ScopedSpan compile_span(traces[i], "compile", roots[i]);
+    obs::ScopedSpan compile_span(call->traces[i], "compile", call->roots[i]);
     // RequiredSpan is the tombstone guard (and BLAST window) for this
     // query; also the value ValidateSpan just checked against the overlap.
     Query& q = queries.emplace_back(view, i, request,
-                                    RequiredSpan(backend, request), sink,
-                                    traces[i], roots[i]);
+                                    RequiredSpan(backend, request), call->sink,
+                                    std::move(key));
     if (default_deadline_ms_ > 0) {
       q.effective.SetDeadlineAfter(
           std::chrono::milliseconds(default_deadline_ms_));
@@ -546,7 +556,7 @@ std::vector<api::QueryOutcome> QueryScheduler::Execute(
     uncapped.max_hits = 0;
     uncapped.cancel = &q.cap;
     api::StatusOr<std::unique_ptr<api::QueryPlan>> plan =
-        aligners[0]->Compile(std::move(uncapped));
+        call->aligners[0]->Compile(std::move(uncapped));
     if (!plan.ok()) {
       outcome.status = plan.status();
       queries.pop_back();
@@ -556,10 +566,13 @@ std::vector<api::QueryOutcome> QueryScheduler::Execute(
     q.fused = UseFusedWalk(*q.plan);
     if (q.fused && inst_.fused_queries != nullptr) inst_.fused_queries->Add();
   }
-  if (queries.empty()) return outcomes;
+  if (queries.empty()) {
+    Finish(call);
+    return;
+  }
   {
     // Register the effective tokens; if Shutdown won the race since this
-    // call was admitted, its cancel sweep missed them — fire them here so
+    // call was opened, its cancel sweep missed them — fire them here so
     // the call still winds down promptly.
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     for (Query& q : queries) {
@@ -572,108 +585,104 @@ std::vector<api::QueryOutcome> QueryScheduler::Execute(
   // mode form a group whose tasks run the whole group — one task for a
   // fused group, one per slice otherwise — so task dispatch (and the
   // slice's index going cold) is paid once per group.
-  struct Group {
-    size_t begin, end, tasks;
-  };
-  std::vector<Group> groups;
   for (size_t k = 0; k < queries.size();) {
     size_t end = k + 1;
     while (end < queries.size() && end - k < batch_size_ &&
            queries[end].fused == queries[k].fused) {
       ++end;
     }
-    groups.push_back({k, end, queries[k].fused ? size_t{1} : slices});
+    call->groups.push_back({k, end, queries[k].fused ? size_t{1} : slices});
     k = end;
   }
+  Advance(call);
+}
 
+void QueryScheduler::Advance(Call* call) {
   // A call's full fan-out may legitimately exceed the queue bound, and a
   // single all-or-nothing submit would then reject it forever no matter
   // how idle the pool is. Admit the groups in waves whose task count fits
-  // the queue, all-or-nothing per wave, waiting between waves; a wave shed
+  // the queue, all-or-nothing per wave, one wave at a time; a wave shed
   // by *competing* traffic marks only its own queries kResourceExhausted
   // (retrying those can genuinely succeed later).
-  for (size_t g = 0; g < groups.size();) {
+  const std::vector<Call::Group>& groups = call->groups;
+  std::deque<Query>& queries = call->queries;
+  while (call->next_group < groups.size()) {
+    const size_t g = call->next_group;
     size_t wave_end = g;
     size_t num_tasks = 0;
     while (wave_end < groups.size() &&
            num_tasks + groups[wave_end].tasks <= pool_.queue_capacity()) {
       num_tasks += groups[wave_end++].tasks;
     }
+    api::Status failed;
     if (wave_end == g) {
       // The queue cannot hold even one query's fan-out: a configuration
       // misfit, not transient load.
-      api::Status misfit = api::Status::ResourceExhausted(
+      failed = api::Status::ResourceExhausted(
           "one query fans out into " + std::to_string(groups[g].tasks) +
           " slice tasks but the service queue holds only " +
           std::to_string(pool_.queue_capacity()) +
           "; raise queue_capacity to at least the slice count");
-      for (size_t k = groups[g].begin; k < groups[g].end; ++k) {
-        queries[k].error.Record(misfit);
-      }
-      ++g;
-      continue;
+      ++wave_end;
     }
-    TaskGroup done(num_tasks);
-    // Queue-wait accounting for traced queries: stamped just before the
-    // wave submits, read by the first task that starts running the query.
-    int64_t submit_ns = 0;
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(num_tasks);
-    for (size_t w = g; w < wave_end; ++w) {
-      for (size_t s = 0; s < groups[w].tasks; ++s) {
-        tasks.push_back([this, group = groups[w], s, &view, &aligners,
-                         &queries, &done, &submit_ns] {
-          int64_t start_ns = 0;
-          for (size_t k = group.begin; k < group.end; ++k) {
-            Query& q = queries[k];
-            // One queue span per query (slice 0's task), not one per
-            // slice: the per-slice waits overlap and would double-book
-            // the tree.
-            if (s == 0 && q.trace != nullptr) {
-              if (start_ns == 0) start_ns = obs::Trace::NowNanos();
-              q.trace->AddSpan("queue", submit_ns, start_ns, q.root);
+    call->next_group = wave_end;
+    if (failed.ok()) {
+      std::vector<std::function<void()>> tasks;
+      tasks.reserve(num_tasks);
+      for (size_t w = g; w < wave_end; ++w) {
+        for (size_t s = 0; s < groups[w].tasks; ++s) {
+          tasks.push_back([this, call, group = groups[w], s] {
+            int64_t start_ns = 0;
+            for (size_t k = group.begin; k < group.end; ++k) {
+              Query& q = call->queries[k];
+              // One queue span per query (slice 0's task), not one per
+              // slice: the per-slice waits overlap and would double-book
+              // the tree.
+              if (obs::Trace* trace = call->traces[q.index];
+                  s == 0 && trace != nullptr) {
+                if (start_ns == 0) start_ns = obs::Trace::NowNanos();
+                trace->AddSpan("queue", call->submit_ns, start_ns,
+                               call->roots[q.index]);
+              }
+              api::Status status =
+                  q.fused ? RunFused(*call, &q) : RunSlice(*call, s, &q);
+              if (!status.ok()) {
+                std::lock_guard<std::mutex> lock(call->mu);
+                if (q.error.ok()) q.error = std::move(status);
+              }
             }
-            api::Status status = q.fused
-                                     ? RunFused(view, &q)
-                                     : RunSlice(view, s, aligners[s], &q);
-            if (!status.ok()) q.error.Record(std::move(status));
-          }
-          done.Done();
-        });
+            // The wave's last task carries the call on.
+            if (call->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+              Advance(call);
+            }
+          });
+        }
       }
+      call->pending.store(num_tasks, std::memory_order_relaxed);
+      call->submit_ns = obs::Trace::NowNanos();
+      // Once submitted, the call belongs to the wave's tasks.
+      if (pool_.TrySubmitBatch(std::move(tasks))) return;
+      failed = PoolRefusal(pool_, num_tasks);
     }
-    if (any_trace) submit_ns = obs::Trace::NowNanos();
-    if (!pool_.TrySubmitBatch(std::move(tasks))) {
-      // A shutdown closes admission too; report that truthfully rather
-      // than as transient overload someone might retry against.
-      api::Status refused =
-          pool_.IsShutdown()
-              ? api::Status::Cancelled("scheduler is shutting down")
-              : api::Status::ResourceExhausted(
-                    "service queue is full (" +
-                    std::to_string(pool_.QueueDepth()) + "/" +
-                    std::to_string(pool_.queue_capacity()) +
-                    " tasks queued, this wave needs " +
-                    std::to_string(num_tasks) + "); retry with backoff");
-      for (size_t k = groups[g].begin; k < groups[wave_end - 1].end; ++k) {
-        queries[k].error.Record(refused);
-      }
-    } else {
-      done.Wait();
+    for (size_t k = groups[g].begin; k < groups[wave_end - 1].end; ++k) {
+      queries[k].error = failed;
     }
-    g = wave_end;
   }
+  Finish(call);
+}
 
-  for (Query& q : queries) {
-    api::QueryOutcome& outcome = outcomes[q.index];
-    if (api::Status status = q.error.Take(); !status.ok()) {
-      outcome.status = status;
+void QueryScheduler::Finish(Call* call) {
+  for (Query& q : call->queries) {
+    api::QueryOutcome& outcome = call->outcomes[q.index];
+    if (!q.error.ok()) {
+      outcome.status = q.error;
       continue;
     }
-    obs::ScopedSpan merge_span(q.trace, "merge", q.root);
+    obs::ScopedSpan merge_span(call->traces[q.index], "merge",
+                               call->roots[q.index]);
     api::SearchResponse response = q.merger.Take();
-    response.stats.delta_shards = view.NumDeltaSlices();
-    response.stats.compactions = view.compactions;
+    response.stats.delta_shards = call->view.NumDeltaSlices();
+    response.stats.compactions = call->view.compactions;
     // Cache the answer without this call's cache or compile accounting — a
     // later hit reports its own counters and compiled nothing. Neither a
     // deadline-truncated partial nor a prefix the *sink* chose to cut is
@@ -681,15 +690,50 @@ std::vector<api::QueryOutcome> QueryScheduler::Execute(
     // sink's stopping point): both are returned and forgotten. A genuine
     // max_hits cap IS the keyed answer.
     if (!response.stats.truncated_by_deadline && !q.merger.sink_stopped()) {
-      cache_.Insert(keys[q.index], response);
+      cache_.Insert(q.key, response);
     }
     merge_span.End();
     response.stats.plan_compile_ns = q.plan->compile_ns();
     response.stats.cache_misses = 1;
-    response.stats.seconds = timer.ElapsedSeconds();
+    response.stats.seconds = call->timer.ElapsedSeconds();
     outcome.response = std::move(response);
   }
-  return outcomes;
+  for (const api::QueryOutcome& o : call->outcomes) {
+    RecordResult(o.status, o.response.stats);
+  }
+  if (!call->done) {
+    // A caller waits in Run; it closes the call once it has woken.
+    std::lock_guard<std::mutex> lock(call->mu);
+    call->finished_ns = obs::Trace::NowNanos();
+    call->cv.notify_one();
+    return;
+  }
+  std::vector<api::QueryOutcome> outcomes = Close(*call);
+  auto done = std::move(call->done);
+  delete call;
+  done(std::move(outcomes));
+}
+
+std::vector<api::QueryOutcome> QueryScheduler::Close(Call& call) {
+  // Close every root and hand sampled traces to the tracer (slow-query
+  // log). A waiting caller's wake-up belongs to its request: the root ends
+  // where that caller resumes, and "resume" covers the hand-off.
+  const int64_t now = obs::Trace::NowNanos();
+  for (size_t i = 0; i < call.traces.size(); ++i) {
+    if (call.traces[i] == nullptr) continue;
+    if (call.finished_ns != 0) {
+      call.traces[i]->AddSpan("resume", call.finished_ns, now, call.roots[i]);
+    }
+    call.traces[i]->EndSpan(call.roots[i]);
+    tracer_.Finish(std::move(call.sampled[i]));
+  }
+  // Deregister last: once active_calls_ drops, Shutdown may return and
+  // the scheduler may be destroyed.
+  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  for (Query& q : call.queries) inflight_.erase(&q.effective);
+  --active_calls_;
+  lifecycle_cv_.notify_all();
+  return std::move(call.outcomes);
 }
 
 }  // namespace service

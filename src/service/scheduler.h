@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <string>
@@ -81,8 +82,9 @@ struct SchedulerOptions {
 // (slice 0's aligner; plans are index-independent), runs it over the
 // snapshot's slices — base shards plus any live-corpus delta shards — and
 // merges the slice streams through a StreamMerger with ownership and
-// tombstone filtering. Search, SearchBatch and SearchStream are one
-// execution path (Execute); they differ only in where the merged hits go.
+// tombstone filtering. Search, SearchBatch, SearchStream and StartStream
+// are one non-blocking execution path; they differ only in where the
+// merged hits go and in whether the caller waits for the completion.
 //
 // Fusion policy (UseFusedWalk in scheduler.cc): a query of the built-in
 // ALAE backend runs as ONE pool task walking the union of the slices'
@@ -98,11 +100,12 @@ struct SchedulerOptions {
 // the fused walk covers only the lanes whose fragment missed.
 //
 // Thread-safe: any number of client threads may call Search/SearchBatch/
-// SearchStream concurrently; they share the worker pool and the caches.
+// SearchStream/StartStream concurrently; they share the pool and the caches.
 // Mutating a LiveCorpus source concurrently is safe (each call works off
 // its own snapshot). Destroying the scheduler while calls are in flight is
 // safe: the destructor runs Shutdown(), which cancels every in-flight
-// query (they return kCancelled), waits them out, and drains the pool.
+// query (they return kCancelled), waits them out, and drains the pool, so
+// every StartStream completion on a pool thread has returned by then.
 //
 // Deadlines and cancellation: a request's CancelToken (and the scheduler's
 // default_deadline_ms) bound each query cooperatively — engines poll every
@@ -119,9 +122,9 @@ class QueryScheduler {
   ~QueryScheduler();
 
   // Graceful shutdown: refuses new calls (kCancelled), cancels the
-  // tokens of every in-flight query, waits for those calls to return to
-  // their callers, then closes and joins the pool. Idempotent; safe to
-  // call while clients are still issuing Search calls.
+  // tokens of every in-flight query, waits for those calls to finish,
+  // then closes and joins the pool. Idempotent; safe to call while
+  // clients are still issuing Search calls.
   void Shutdown();
 
   // One query against every slice of the current snapshot. Failure modes
@@ -165,6 +168,17 @@ class QueryScheduler {
                                                const api::SearchRequest& request,
                                                const api::HitSink& sink);
 
+  // Completion form of SearchStream, for a front-end that must never block
+  // (the socket server's event loop). Returns at once; admission, the cache
+  // lookup and compile run in a pool task, and `done` runs exactly once
+  // with what SearchStream would return, on the pool thread that finished
+  // the request — or on the calling thread if the pool refuses that first
+  // task. `backend`, `request` and its cancel token and trace must stay
+  // valid until `done` runs; `sink` is copied.
+  using StreamDone = std::function<void(api::StatusOr<api::EngineStats>)>;
+  void StartStream(std::string_view backend, const api::SearchRequest& request,
+                   const api::HitSink& sink, StreamDone done);
+
   const CorpusSource& source() const { return source_; }
   ThreadPool& pool() { return pool_; }
   const ResultCache& cache() const { return cache_; }
@@ -207,31 +221,41 @@ class QueryScheduler {
 
   // Folds one finished outcome into the instruments: error-class counters
   // for failures; latency, cache-tier and engine DpCounters for answers.
-  void RecordResult(const api::Status& status, const api::EngineStats* stats);
+  void RecordResult(const api::Status& status, const api::EngineStats& stats);
 
-  // One admitted query's execution state; defined in scheduler.cc.
+  // One admitted query's execution state, and one call's state from its
+  // start to its completion; defined in scheduler.cc.
   struct Query;
+  struct Call;
 
-  // The one request body behind Search, SearchBatch and SearchStream:
-  // lifecycle registration, validation, the pre-admission cancel check,
-  // the response-cache lookup, compile, all-or-nothing admission of the
-  // fan-out in queue-sized waves, and the response-cache insert. `sink`
-  // (nullable) receives each request's hits as they merge; outcomes carry
-  // the collected answer either way. `verb` counts the requests.
-  std::vector<api::QueryOutcome> Execute(
+  // The one request body behind every entry point, split where it would
+  // otherwise wait. Start: registration, validation, the cancel check, the
+  // cache lookup and compile. Advance: submits the next queue-sized wave
+  // of the fan-out; the last task of each wave calls it again. Finish:
+  // merges, fills the cache and the metrics, then wakes the caller waiting
+  // in Run or closes the call and runs its completion. Close: ends the
+  // traces, deregisters, returns the outcomes.
+  void Start(Call* call);
+  void Advance(Call* call);
+  void Finish(Call* call);
+  std::vector<api::QueryOutcome> Close(Call& call);
+
+  // The synchronous calls: Start, then wait for Finish. `sink` (empty for
+  // Search) receives each request's hits as they merge; outcomes carry the
+  // collected answer either way.
+  std::vector<api::QueryOutcome> Run(
       std::string_view backend, std::span<const api::SearchRequest> requests,
-      const api::HitSink* sink, obs::Counter* verb);
+      const api::HitSink& sink, obs::Counter* verb);
 
   // Per-slice executor: replays the slice's cached fragment, or streams
   // one engine run into the query's merger (storing the fragment when the
   // run completed). Converts cap-token cancellation into success.
-  api::Status RunSlice(const CorpusView& view, size_t slice,
-                       const api::Aligner* aligner, Query* query);
+  api::Status RunSlice(const Call& call, size_t slice, Query* query);
 
   // Fused executor: one Alae::RunSharded walk over the slices whose
   // fragment missed, then every slice published sorted in owned-interval
   // order.
-  api::Status RunFused(const CorpusView& view, Query* query);
+  api::Status RunFused(const Call& call, Query* query);
 
   const CorpusSource& source_;
   const size_t batch_size_;
@@ -242,10 +266,10 @@ class QueryScheduler {
   ResultCache cache_;
   ResultCache shard_cache_;
 
-  // Shutdown lifecycle. Every Execute registers under lifecycle_mu_
-  // (refused once shutdown_ is set) and registers its queries' effective
-  // cancel tokens in inflight_ so Shutdown can fire them all; the call
-  // deregisters before returning and signals lifecycle_cv_.
+  // Shutdown lifecycle. Every call registers under lifecycle_mu_ when it
+  // starts (refused once shutdown_ is set) and registers its queries'
+  // effective cancel tokens in inflight_ so Shutdown can fire them all;
+  // Close deregisters it and signals lifecycle_cv_.
   std::mutex lifecycle_mu_;
   std::condition_variable lifecycle_cv_;
   bool shutdown_ = false;

@@ -49,18 +49,7 @@ bool ThreadPool::IsShutdown() const {
 }
 
 bool ThreadPool::TrySubmit(std::function<void()> task) {
-  if (FaultInjector::Hit("pool/admit")) return false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_ || queue_.size() >= capacity_) {
-      if (metrics_.admission_rejects) metrics_.admission_rejects->Add();
-      return false;
-    }
-    queue_.push_back(std::move(task));
-  }
-  if (metrics_.queue_depth) metrics_.queue_depth->Add(1);
-  work_available_.notify_one();
-  return true;
+  return TrySubmitBatch({std::move(task)});
 }
 
 bool ThreadPool::TrySubmitBatch(std::vector<std::function<void()>> tasks) {

@@ -28,8 +28,8 @@ struct PoolMetrics {
 // try-only, so when the queue is full the caller gets an immediate `false`
 // (which the scheduler surfaces as kResourceExhausted) instead of an
 // unbounded pile-up of queued work. Tasks never block on the pool
-// themselves — the scheduler's shard tasks only compute and signal a
-// completion latch — so worker starvation cannot deadlock admission.
+// themselves — the scheduler's tasks only compute and submit the next
+// wave of their call — so worker starvation cannot deadlock admission.
 class ThreadPool {
  public:
   // `threads` <= 0 picks hardware concurrency (clamped to >= 1).
@@ -43,8 +43,8 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   // Begins draining: admission is closed (TrySubmit returns false from
-  // here on), already-queued tasks still run — the scheduler's task groups
-  // signal completion latches, so dropping them would strand waiters —
+  // here on), already-queued tasks still run — each carries a scheduler
+  // call toward its completion, so dropping them would strand callers —
   // and the workers are joined. Idempotent and safe to call concurrently
   // with submitters; the destructor calls it.
   void Shutdown();

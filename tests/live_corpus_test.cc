@@ -7,7 +7,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/service/service.h"
@@ -246,7 +245,7 @@ TEST(LiveCorpus, SynchronousCompactionTrigger) {
 }
 
 // Background trigger mode: the same threshold, compacted by the worker
-// thread; Drain-free check via polling the published counters.
+// thread and waited out through DrainCompactions.
 TEST(LiveCorpus, BackgroundCompactionTrigger) {
   SequenceGenerator gen(33);
   LiveCorpusOptions options = SmallLiveOptions();
@@ -259,9 +258,7 @@ TEST(LiveCorpus, BackgroundCompactionTrigger) {
     ASSERT_TRUE(live->AppendDocument(gen.Random(90, Alphabet::Dna())).ok());
   }
   // The trigger is asynchronous; wait for the fold to land.
-  for (int spins = 0; live->compactions() == 0 && spins < 10'000; ++spins) {
-    std::this_thread::yield();
-  }
+  live->DrainCompactions();
   EXPECT_GE(live->compactions(), 1u);
   EXPECT_GE(live->background_compactions(), 1u);
   EXPECT_EQ(live->num_deltas(), 0u);
@@ -396,7 +393,7 @@ TEST_F(LiveCorpusPersistTest, LoadsV1ManifestAsSingleDocument) {
 }
 
 // ---------------------------------------------------------------------------
-// Manifest v2 load hardening
+// Manifest load hardening
 // ---------------------------------------------------------------------------
 
 class LiveManifestHardeningTest : public LiveCorpusPersistTest {
@@ -432,6 +429,42 @@ class LiveManifestHardeningTest : public LiveCorpusPersistTest {
   std::unique_ptr<LiveCorpus> live_;
   size_t text_size_ = 0;
 };
+
+TEST_F(LiveManifestHardeningTest, LegacyV2ManifestIsRejected) {
+  // Retired "ALAESRV2" manifests (no generation word, plain data file
+  // names) must fail Load. Synthesised from a v3 save: swap the magic, drop
+  // the generation word and strip the files' ".g1" infix — the rest of a
+  // v2 directory is byte-identical, so only the magic rejects it.
+  constexpr uint64_t kV2Magic = 0x414C414553525632ULL;
+  SaveFixture();
+  const std::string manifest = dir() + "/corpus.manifest";
+  std::string bytes;
+  {
+    std::ifstream in(manifest, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 16u);
+  for (int b = 0; b < 8; ++b) {
+    bytes[static_cast<size_t>(b)] = static_cast<char>(kV2Magic >> (b * 8));
+  }
+  bytes.erase(8, 8);  // generation word is v3-only
+  std::ofstream(manifest, std::ios::binary | std::ios::trunc) << bytes;
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir())) {
+    files.push_back(entry.path());
+  }
+  for (const std::filesystem::path& file : files) {
+    std::string name = file.filename().string();
+    const size_t infix = name.find(".g1.");
+    if (infix == std::string::npos) continue;
+    name.erase(infix, 3);
+    std::filesystem::rename(file, file.parent_path() / name);
+  }
+  api::StatusOr<std::unique_ptr<LiveCorpus>> live =
+      LiveCorpus::Load(dir(), SmallLiveOptions());
+  ASSERT_FALSE(live.ok());
+  EXPECT_EQ(live.status().code(), StatusCode::kInvalidArgument);
+}
 
 TEST_F(LiveManifestHardeningTest, RejectsTruncatedTombstoneJournal) {
   SaveFixture();

@@ -195,6 +195,59 @@ TEST(NetServer, ConcurrentClientsAreServedCorrectly) {
   EXPECT_GE(rig.server->connections_accepted(), 4u);
 }
 
+// The event loop starts requests without blocking, and starting one never
+// waits on the pool: one pool thread serving per-slice fan-outs for four
+// pipelining connections makes progress and answers bit-exactly, on both
+// pollers.
+TEST(NetServer, OnePoolThreadServesPipelinedPerSliceRequests) {
+  for (const bool force_poll : {false, true}) {
+    NetServerOptions options;
+    options.force_poll = force_poll;
+    SmallRig rig(options, SchedulerOptions{.threads = 1});
+    ASSERT_GE(rig.corpus->num_shards(), 2u);
+    const std::vector<AlignmentHit> expected[3] = {
+        rig.Direct("sw", 0), rig.Direct("sw", 1), rig.Direct("sw", 2)};
+
+    const int kClients = 4;
+    const int kPerClient = 8;
+    std::vector<std::thread> threads;
+    std::vector<int> failures(kClients, 0);
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        NetClient client;
+        if (!client.Connect("127.0.0.1", rig.server->port()).ok()) {
+          failures[c] = 100;
+          return;
+        }
+        for (int i = 0; i < kPerClient; ++i) {
+          WireRequest request = rig.Wire(static_cast<uint32_t>(i + 1),
+                                         static_cast<size_t>((c + i) % 3));
+          request.backend = "sw";
+          if (!client.Send(request).ok()) ++failures[c];
+        }
+        for (int i = 0; i < kPerClient; ++i) {
+          api::StatusOr<NetClient::Response> response =
+              client.Await(static_cast<uint32_t>(i + 1));
+          if (!response.ok() || response->status.code != WireCode::kOk ||
+              response->hits != expected[(c + i) % 3]) {
+            ++failures[c];
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int c = 0; c < kClients; ++c) {
+      EXPECT_EQ(failures[c], 0) << "client " << c << " force_poll "
+                                << force_poll;
+    }
+    // The completion counts a request just after queueing its STATUS.
+    EXPECT_TRUE(WaitUntil([&] {
+      return rig.server->requests_completed() ==
+             static_cast<uint64_t>(kClients * kPerClient);
+    })) << rig.server->requests_completed() << " completed";
+  }
+}
+
 // A request whose alphabet does not match the corpus is rejected cleanly.
 TEST(NetServer, AlphabetMismatchIsInvalidArgument) {
   SmallRig rig;
@@ -426,14 +479,14 @@ TEST(NetServerCancel, ClientDisconnectCancelsServerSideWork) {
 
   EXPECT_TRUE(WaitUntil([&] { return rig.server->disconnect_cancels() >= 1; }))
       << "server never cancelled the orphaned query";
-  // The worker observed the cancel and completed the request server-side.
+  // The engine observed the cancel and the request completed server-side.
   EXPECT_TRUE(
       WaitUntil([&] { return rig.server->requests_completed() >= 1; }));
 }
 
 // Every admitted request is completed exactly once, including one still
 // queued behind a running request when its connection dies: the rig's one
-// worker is busy with the first query, so the second never gets dispatched.
+// pool thread is busy with the first query, so the second never starts.
 TEST(NetServerCancel, DisconnectCompletesQueuedRequestsExactlyOnce) {
   SlowRig rig;
   auto client = std::make_unique<NetClient>();
@@ -452,6 +505,27 @@ TEST(NetServerCancel, DisconnectCompletesQueuedRequestsExactlyOnce) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(rig.server->requests_completed(), 2u);
   EXPECT_EQ(rig.server->requests_admitted(), 2u);
+}
+
+// Stop while requests run (and more wait in the ring) returns only after
+// every started request's completion has run: by then every admitted
+// request has been completed exactly once.
+TEST(NetServerCancel, StopWaitsForEveryStartedRequest) {
+  SlowRig rig;
+  NetClient first;
+  NetClient second;
+  ASSERT_TRUE(first.Connect("127.0.0.1", rig.server->port()).ok());
+  ASSERT_TRUE(second.Connect("127.0.0.1", rig.server->port()).ok());
+  for (uint32_t id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(first.Send(rig.SlowQuery(id)).ok());
+    ASSERT_TRUE(second.Send(rig.SlowQuery(id)).ok());
+  }
+  ASSERT_TRUE(WaitUntil([&] { return rig.server->requests_admitted() >= 6; }));
+
+  rig.server->Stop();
+  EXPECT_EQ(rig.server->requests_completed(), 6u);
+  EXPECT_EQ(rig.server->requests_completed(),
+            rig.server->requests_admitted());
 }
 
 }  // namespace
