@@ -299,7 +299,7 @@ int main(int argc, char** argv) {
   // --- Plan-compilation prep cost: what the service pays once per request
   // (and what every shard used to pay before plans were shared).
   {
-    auto aligner = corpus->AlignerFor(0, "alae");
+    auto aligner = corpus->shard(0).index->AlignerFor("alae");
     if (!aligner.ok()) {
       std::fprintf(stderr, "aligner: %s\n",
                    aligner.status().ToString().c_str());

@@ -1,6 +1,7 @@
-// TCP serving driver: the socket front-end over a sharded corpus.
+// TCP serving driver: the socket front-end over a live corpus.
 //
-// Builds (or loads) a corpus, starts the NetServer, prints the bound
+// Loads a saved corpus (or builds a random one, saving it when --corpus
+// names a directory), starts the NetServer, prints the bound
 // address, and serves the framed wire protocol of docs/PROTOCOL.md until
 // stdin reaches EOF or the process receives SIGINT/SIGTERM. Pair it with
 // any client linking src/net/client.h — bench_net is the reference driver.
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -100,9 +102,17 @@ void OnSignal(int) { g_stop = 1; }
 int main(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
 
-  std::unique_ptr<service::ShardedCorpus> corpus;
-  if (!flags.corpus.empty() && flags.random_text == 0) {
-    auto loaded = service::ShardedCorpus::Load(flags.corpus);
+  service::LiveCorpusOptions live_options;
+  live_options.base.shard_size = flags.shard_size;
+  live_options.base.overlap = flags.overlap;
+
+  // Corpus: load the directory if it holds a manifest, else build a random
+  // one and save it there — serve_main's handling, so each driver serves
+  // the other's saves.
+  std::unique_ptr<service::LiveCorpus> corpus;
+  if (!flags.corpus.empty() &&
+      std::filesystem::exists(flags.corpus + "/corpus.manifest")) {
+    auto loaded = service::LiveCorpus::Load(flags.corpus, live_options);
     if (!loaded.ok()) {
       std::fprintf(stderr, "load %s: %s\n", flags.corpus.c_str(),
                    loaded.status().ToString().c_str());
@@ -110,15 +120,19 @@ int main(int argc, char** argv) {
     }
     corpus = std::move(loaded).value();
   } else {
+    if (!flags.corpus.empty() && flags.random_text <= 0) {
+      std::fprintf(stderr,
+                   "%s has no corpus.manifest; pass --random-text=N to build "
+                   "one\n",
+                   flags.corpus.c_str());
+      return 1;
+    }
     const int64_t n = flags.random_text > 0 ? flags.random_text : 1 << 20;
     std::fprintf(stderr, "building random %lld-char DNA corpus...\n",
                  static_cast<long long>(n));
     Sequence text =
         SequenceGenerator(flags.seed).Random(n, Alphabet::Dna());
-    service::ShardedCorpusOptions options;
-    options.shard_size = flags.shard_size;
-    options.overlap = flags.overlap;
-    auto built = service::ShardedCorpus::Build(std::move(text), options);
+    auto built = service::LiveCorpus::Build(std::move(text), live_options);
     if (!built.ok()) {
       std::fprintf(stderr, "build: %s\n", built.status().ToString().c_str());
       return 1;
@@ -152,7 +166,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("serving %zu shards (%lld chars) on %s:%d\n",
-              corpus->num_shards(),
+              corpus->base()->num_shards() + corpus->num_deltas(),
               static_cast<long long>(corpus->text_size()), flags.host.c_str(),
               server.port());
   std::fflush(stdout);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "src/align/scoring.h"
 
@@ -11,6 +12,55 @@ namespace service {
 uint64_t NextServiceEpoch() {
   static std::atomic<uint64_t> counter{1};
   return counter.fetch_add(1);
+}
+
+ShardIndex::ShardIndex(Sequence text, FmIndexOptions options)
+    : registry_(std::move(text), options) {}
+
+ShardIndex::ShardIndex(std::shared_ptr<const AlaeIndex> index)
+    : registry_(std::move(index)) {}
+
+api::StatusOr<std::unique_ptr<ShardIndex>> ShardIndex::Adopt(
+    Sequence text, FmIndex fm, const std::string& what) {
+  if (fm.text_size() != text.size() || fm.sigma() != text.sigma()) {
+    return api::Status::InvalidArgument(
+        what + " does not match the manifest text (size/sigma mismatch)");
+  }
+  Sequence rev = text.Reversed();
+  if (fm.Find(rev.symbols().data(), rev.size()).Empty()) {
+    return api::Status::InvalidArgument(
+        what + " does not correspond to the manifest text");
+  }
+  return std::unique_ptr<ShardIndex>(new ShardIndex(
+      std::make_shared<const AlaeIndex>(std::move(text), std::move(fm))));
+}
+
+api::StatusOr<const api::Aligner*> ShardIndex::AlignerFor(
+    std::string_view backend) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = aligners_.find(backend);
+  if (it == aligners_.end()) {
+    api::StatusOr<std::unique_ptr<api::Aligner>> created =
+        registry_.Create(backend);
+    if (!created.ok()) return created.status();
+    it = aligners_.emplace(std::string(backend), std::move(created).value())
+             .first;
+  }
+  return it->second.get();
+}
+
+size_t ShardIndex::IndexBytes() const {
+  AlaeIndex::Sizes sz = registry_.index().SizeBytes();
+  return sz.bwt_bytes + sz.sample_bytes + sz.domination_bytes;
+}
+
+ShardSlice ShardIndex::Slice() const {
+  ShardSlice slice;
+  slice.registry = &registry_;
+  slice.aligner_for = [this](std::string_view backend) {
+    return AlignerFor(backend);
+  };
+  return slice;
 }
 
 int64_t RequiredSpan(std::string_view backend,

@@ -3,12 +3,16 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/api/api.h"
+#include "src/index/fm_index.h"
+#include "src/io/sequence.h"
 
 namespace alae {
 namespace service {
@@ -53,7 +57,7 @@ struct ShardSlice {
   std::string content_key;
 
   // Resolves the per-backend aligner (built on first use, cached by the
-  // owning corpus object, thread-safe).
+  // slice's ShardIndex, thread-safe).
   std::function<api::StatusOr<const api::Aligner*>(std::string_view)>
       aligner_for;
 
@@ -65,6 +69,46 @@ struct ShardSlice {
   bool OwnsGlobalEnd(int64_t global_end) const {
     return global_end >= owned_begin && global_end < owned_end;
   }
+};
+
+// One slice's index: the AlignerRegistry over the slice text plus the
+// per-backend Aligners built from it on first use. Base shards and delta
+// shards each own one; their snapshot slices point at it. Thread-safe.
+class ShardIndex {
+ public:
+  // Builds the FM-index over `text`.
+  ShardIndex(Sequence text, FmIndexOptions options);
+
+  // Adopts `fm`, loaded from disk, once it passes the content probe: size
+  // and sigma must match `text`, and the *entire* reversed text must be
+  // findable in it (the FM-index is built over reverse(T)). A short prefix
+  // probe would be vacuous — interior shards share length and sigma, so a
+  // swapped or stale same-geometry file would load and silently serve
+  // wrong hits. The full-length Find is O(|text|) extend steps, negligible
+  // against loading the index. kInvalidArgument names `what` on mismatch.
+  static api::StatusOr<std::unique_ptr<ShardIndex>> Adopt(
+      Sequence text, FmIndex fm, const std::string& what);
+
+  const api::AlignerRegistry& registry() const { return registry_; }
+
+  // The per-backend aligner, built on first use and cached. kNotFound for
+  // unknown backend names.
+  api::StatusOr<const api::Aligner*> AlignerFor(std::string_view backend) const;
+
+  // Index footprint: BWT, SA samples and domination index.
+  size_t IndexBytes() const;
+
+  // A slice served by this index: `registry` and `aligner_for` set, the
+  // geometry, content key and owner left to the caller.
+  ShardSlice Slice() const;
+
+ private:
+  explicit ShardIndex(std::shared_ptr<const AlaeIndex> index);
+
+  api::AlignerRegistry registry_;
+  mutable std::mutex mu_;
+  mutable std::map<std::string, std::unique_ptr<api::Aligner>, std::less<>>
+      aligners_;
 };
 
 // An immutable snapshot of a corpus: what the scheduler fans a batch over

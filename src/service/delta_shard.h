@@ -2,22 +2,16 @@
 #define ALAE_SERVICE_DELTA_SHARD_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
 
-#include "src/api/api.h"
-#include "src/index/fm_index.h"
-#include "src/io/sequence.h"
+#include "src/service/corpus_view.h"
 
 namespace alae {
 namespace service {
 
 // Where a delta shard sits in the global text. Persisted verbatim in the
-// live-corpus manifest (v2); everything else about a delta shard is
-// derivable from it plus the physical text.
+// live-corpus manifest; everything else about a delta shard is derivable
+// from it plus the physical text.
 struct DeltaShardMeta {
   uint64_t doc_id = 0;     // the absorbed document
   int64_t text_start = 0;  // global start of the indexed slice (context incl.)
@@ -26,50 +20,24 @@ struct DeltaShardMeta {
 };
 
 // A small write-absorbing shard over one appended document: its own
-// FM-index/AlignerRegistry built synchronously over the document plus up
-// to 2*overlap characters of preceding context (one overlap for the
-// ownership margin the delta takes over from the preceding region, one
-// for that margin's own left context — see LiveCorpus's geometry note).
+// ShardIndex over physical text [meta.text_start, meta.doc_end), i.e. the
+// document plus up to 2*overlap characters of preceding context (one
+// overlap for the ownership margin the delta takes over from the
+// preceding region, one for that margin's own left context — see
+// LiveCorpus's geometry note). Built synchronously by AppendDocument, or
+// adopted from disk by LiveCorpus::Load.
 //
 // Immutable after construction. Ownership *cuts* are not stored here: the
 // owned range of a delta shard shifts when a later document appends (the
 // newcomer takes over the trailing margin), so LiveCorpus computes owned
 // ranges per snapshot.
-class DeltaShard {
- public:
-  // Builds the index over `slice_text` = physical text [meta.text_start,
-  // meta.doc_end). This is the synchronous cost of AppendDocument.
-  DeltaShard(Sequence slice_text, DeltaShardMeta meta, FmIndexOptions options);
-
-  // Adopts an index loaded from disk. The caller (the manifest-v2 loader)
-  // must have content-probed `fm` against slice_text, like the base
-  // corpus loader does for its shards.
-  DeltaShard(Sequence slice_text, DeltaShardMeta meta, FmIndex fm);
-
-  const DeltaShardMeta& meta() const { return meta_; }
-  int64_t slice_size() const { return meta_.doc_end - meta_.text_start; }
-
+struct DeltaShard {
+  DeltaShardMeta meta;
+  std::unique_ptr<const ShardIndex> index;
   // Process-unique content identity (fragment-cache key component): drawn
   // from the service epoch counter at construction, so no two delta-shard
   // builds — even of identical text — ever share one.
-  uint64_t content_id() const { return content_id_; }
-
-  const api::AlignerRegistry& registry() const { return registry_; }
-
-  // The per-backend aligner, built on first use and cached (thread-safe).
-  // kNotFound for unknown backend names.
-  api::StatusOr<const api::Aligner*> AlignerFor(std::string_view backend) const;
-
-  size_t IndexBytes() const;
-
- private:
-  DeltaShardMeta meta_;
-  uint64_t content_id_;
-  api::AlignerRegistry registry_;
-
-  mutable std::mutex aligners_mu_;
-  mutable std::map<std::string, std::unique_ptr<api::Aligner>, std::less<>>
-      aligners_;
+  uint64_t content_id = NextServiceEpoch();
 };
 
 }  // namespace service

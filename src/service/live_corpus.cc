@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -16,14 +15,11 @@ namespace alae {
 namespace service {
 namespace {
 
-// Manifest v3 ("ALAESRV3"): a leading generation number, with the data
-// files carrying that generation in their names — a save writes a fresh
-// generation without touching the files the current manifest points at,
-// so the manifest rename is the sole cutover. v1 ("ALAESRV1", written by
-// ShardedCorpus::Save; the degenerate live corpus with one document and
-// nothing pending) stays loadable.
+// Manifest v3 ("ALAESRV3"), the only corpus format: a leading generation
+// number, with the data files carrying that generation in their names — a
+// save writes a fresh generation without touching the files the current
+// manifest points at, so the manifest rename is the sole cutover.
 constexpr uint64_t kLiveManifestMagicV3 = 0x414C414553525633ULL;
-constexpr uint64_t kBaseManifestMagic = 0x414C414553525631ULL;
 // Tombstone journal ("ALAETOMB"): doc_id/begin/end triples to EOF.
 constexpr uint64_t kJournalMagic = 0x414C4145544F4D42ULL;
 
@@ -31,28 +27,23 @@ std::string ManifestFileName(const std::string& dir) {
   return dir + "/corpus.manifest";
 }
 
-std::string GenInfix(uint64_t gen) {
-  return gen == 0 ? std::string() : ".g" + std::to_string(gen);
-}
-
+// Every data file carries the generation of the save that wrote it.
 std::string ShardFileName(const std::string& dir, size_t k, uint64_t gen) {
-  std::ostringstream name;
-  name << dir << "/shard-" << k << GenInfix(gen) << ".fm";
-  return name.str();
+  return dir + "/shard-" + std::to_string(k) + ".g" + std::to_string(gen) +
+         ".fm";
 }
 
 std::string DeltaFileName(const std::string& dir, size_t k, uint64_t gen) {
-  std::ostringstream name;
-  name << dir << "/delta-" << k << GenInfix(gen) << ".fm";
-  return name.str();
+  return dir + "/delta-" + std::to_string(k) + ".g" + std::to_string(gen) +
+         ".fm";
 }
 
 std::string JournalFileName(const std::string& dir, uint64_t gen) {
-  return dir + "/tombstones" + GenInfix(gen) + ".journal";
+  return dir + "/tombstones.g" + std::to_string(gen) + ".journal";
 }
 
 // The generation a corpus data file's name carries: <stem>.g<gen>.<ext>
-// maps to <gen>, anything else (the plain names of a v1 directory) to 0.
+// maps to <gen>, anything else to 0 (no save writes generation 0).
 uint64_t FileNameGeneration(const std::string& name) {
   const size_t ext = name.rfind('.');
   if (ext == std::string::npos || ext == 0) return 0;
@@ -91,9 +82,7 @@ void RemoveOtherGenerations(const std::string& dir, uint64_t keep_gen) {
 }
 
 // The generation the next save must write: one past the generation the
-// directory's current manifest names (a v1 manifest or no manifest at all
-// names generation 0, so the first v3 save writes generation 1 and the
-// plain-named files survive until its cutover completes).
+// directory's current manifest names, or 1 without a readable manifest.
 uint64_t NextGeneration(const std::string& dir) {
   std::ifstream manifest(ManifestFileName(dir), std::ios::binary);
   uint64_t magic = 0, gen = 0;
@@ -111,6 +100,31 @@ uint64_t NextGeneration(const std::string& dir) {
 int64_t DeltaTextStart(int64_t doc_begin, int64_t overlap) {
   const int64_t cut = std::max<int64_t>(0, doc_begin - overlap);
   return std::max<int64_t>(0, cut - overlap);
+}
+
+// Writes one index file of the generation being staged. The fault hook
+// sits past the open, so an injected failure leaves the truncated
+// new-generation file a torn write would — inert, since no manifest names
+// it.
+api::Status WriteIndexFile(const std::string& path, const ShardIndex& index,
+                           const char* fault_site) {
+  std::ofstream out(path, std::ios::binary);
+  bool ok = out.is_open() && !FaultInjector::Hit(fault_site) &&
+            index.registry().index().fm().Save(out);
+  out.flush();
+  if (!ok || !out.good()) {
+    return api::Status::InvalidArgument("failed writing " + path);
+  }
+  return api::Status::Ok();
+}
+
+api::Status ReadIndexFile(const std::string& path, FmIndex* fm) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open() || !fm->Load(in)) {
+    return api::Status::InvalidArgument("unreadable or corrupt index " +
+                                        path);
+  }
+  return api::Status::Ok();
 }
 
 api::Status ValidateDocumentPartition(
@@ -241,10 +255,11 @@ api::StatusOr<uint64_t> LiveCorpus::AppendDocument(const Sequence& doc) {
   meta.doc_end = end;
   // The synchronous part of an append: index the document plus its
   // context margin. Small by construction (doc + 2*overlap).
-  auto delta = std::make_shared<const DeltaShard>(
-      text_.Substr(static_cast<size_t>(slice_start),
-                   static_cast<size_t>(end - slice_start)),
-      meta, options_.base.index);
+  auto delta = std::make_shared<const DeltaShard>(DeltaShard{
+      meta, std::make_unique<const ShardIndex>(
+                text_.Substr(static_cast<size_t>(slice_start),
+                             static_cast<size_t>(end - slice_start)),
+                options_.base.index)});
   size_t outstanding = 0;
   {
     std::lock_guard<std::mutex> slock(state_mu_);
@@ -367,13 +382,14 @@ api::Status LiveCorpus::CompactLocked(const CancelToken* cancel) {
 
 CorpusView LiveCorpus::Snapshot() const {
   std::lock_guard<std::mutex> lock(state_mu_);
-  CorpusView view;
+  // The base's own slices, content keys included: fragments cached for
+  // them survive every append, delete and live-epoch bump, and die only
+  // when a compaction replaces the base itself.
+  CorpusView view = base_->Snapshot();
   view.epoch = epoch_;
   view.text_size = text_size_;
-  view.overlap = options_.base.overlap;
   view.compactions = compactions_;
   view.tombstones = tombstones_;
-  view.slices.reserve(base_->num_shards() + deltas_.size());
 
   // Ownership cuts: delta k owns global ends [cut_k, cut_{k+1}); the base
   // keeps everything before cut_0. cut_k lags document k's start by one
@@ -382,47 +398,29 @@ CorpusView LiveCorpus::Snapshot() const {
   const int64_t overlap = options_.base.overlap;
   std::vector<int64_t> cuts(deltas_.size() + 1);
   for (size_t k = 0; k < deltas_.size(); ++k) {
-    cuts[k] = std::max<int64_t>(0, deltas_[k]->meta().doc_begin - overlap);
+    cuts[k] = std::max<int64_t>(0, deltas_[k]->meta.doc_begin - overlap);
   }
   cuts[deltas_.size()] = text_size_;
   const int64_t base_limit = deltas_.empty() ? text_size_ : cuts[0];
-
-  std::shared_ptr<const ShardedCorpus> base = base_;
-  for (size_t k = 0; k < base->num_shards(); ++k) {
-    const ShardedCorpus::Shard& shard = base->shard(k);
-    ShardSlice slice;
-    slice.text_start = shard.start;
-    slice.owned_begin = shard.owned_begin;
-    slice.owned_end = std::min(shard.owned_end, base_limit);
-    if (slice.owned_begin >= slice.owned_end) continue;
-    slice.registry = shard.registry.get();
-    // Same content key as the base's own Snapshot(): fragments cached for
-    // these shards survive every append, delete and live-epoch bump, and
-    // die only when a compaction replaces the base itself.
-    slice.content_key.push_back('B');
-    AppendRaw(&slice.content_key, base->epoch());
-    AppendRaw(&slice.content_key, static_cast<uint64_t>(k));
-    slice.aligner_for = [base, k](std::string_view backend) {
-      return base->AlignerFor(k, backend);
-    };
-    slice.owner = base;
-    view.slices.push_back(std::move(slice));
+  for (ShardSlice& slice : view.slices) {
+    slice.owned_end = std::min(slice.owned_end, base_limit);
+    slice.owner = base_;
   }
+  std::erase_if(view.slices, [](const ShardSlice& slice) {
+    return slice.owned_begin >= slice.owned_end;
+  });
+
   for (size_t k = 0; k < deltas_.size(); ++k) {
-    std::shared_ptr<const DeltaShard> delta = deltas_[k];
-    ShardSlice slice;
-    slice.text_start = delta->meta().text_start;
+    if (cuts[k] >= cuts[k + 1]) continue;
+    const std::shared_ptr<const DeltaShard>& delta = deltas_[k];
+    ShardSlice slice = delta->index->Slice();
+    slice.text_start = delta->meta.text_start;
     slice.owned_begin = cuts[k];
     slice.owned_end = cuts[k + 1];
-    if (slice.owned_begin >= slice.owned_end) continue;
     slice.is_delta = true;
-    slice.registry = &delta->registry();
     slice.content_key.push_back('D');
-    AppendRaw(&slice.content_key, delta->content_id());
-    slice.aligner_for = [delta](std::string_view backend) {
-      return delta->AlignerFor(backend);
-    };
-    slice.owner = std::move(delta);
+    AppendRaw(&slice.content_key, delta->content_id);
+    slice.owner = delta;
     view.slices.push_back(std::move(slice));
   }
   return view;
@@ -441,19 +439,15 @@ api::Status LiveCorpus::Save(const std::string& dir) const {
   // leaves the previous save untouched and authoritative. The manifest
   // rename is the only mutation of existing state.
   const uint64_t gen = NextGeneration(dir);
-  api::Status shards = base_->SaveShardFiles(dir, gen);
-  if (!shards.ok()) return shards;
+  for (size_t k = 0; k < base_->num_shards(); ++k) {
+    api::Status written = WriteIndexFile(
+        ShardFileName(dir, k, gen), *base_->shard(k).index, "live/save/shard");
+    if (!written.ok()) return written;
+  }
   for (size_t k = 0; k < deltas_.size(); ++k) {
-    std::ofstream out(DeltaFileName(dir, k, gen), std::ios::binary);
-    // Fault hooks sit past the open so an injected failure leaves the
-    // truncated new-generation file the sweep test expects to be inert.
-    bool ok = out.is_open() && !FaultInjector::Hit("live/save/delta") &&
-              deltas_[k]->registry().index().fm().Save(out);
-    out.flush();
-    if (!ok || !out.good()) {
-      return api::Status::InvalidArgument("failed writing " +
-                                          DeltaFileName(dir, k, gen));
-    }
+    api::Status written = WriteIndexFile(DeltaFileName(dir, k, gen),
+                                         *deltas_[k]->index, "live/save/delta");
+    if (!written.ok()) return written;
   }
   {
     std::ofstream journal(JournalFileName(dir, gen), std::ios::binary);
@@ -501,7 +495,7 @@ api::Status LiveCorpus::Save(const std::string& dir) const {
     }
     ok = ok && PutU64(manifest, deltas_.size());
     for (const auto& delta : deltas_) {
-      const DeltaShardMeta& m = delta->meta();
+      const DeltaShardMeta& m = delta->meta;
       ok = ok && PutU64(manifest, m.doc_id);
       ok = ok && PutU64(manifest, static_cast<uint64_t>(m.text_start));
       ok = ok && PutU64(manifest, static_cast<uint64_t>(m.doc_begin));
@@ -535,43 +529,13 @@ api::Status LiveCorpus::Save(const std::string& dir) const {
 api::StatusOr<std::unique_ptr<LiveCorpus>> LiveCorpus::Load(
     const std::string& dir, LiveCorpusOptions options) {
   std::ifstream manifest(ManifestFileName(dir), std::ios::binary);
-  uint64_t magic = 0;
-  if (!manifest.is_open() || !GetU64(manifest, &magic)) {
-    return api::Status::InvalidArgument("unreadable corpus manifest in " +
-                                        dir);
-  }
-  if (magic == kBaseManifestMagic) {
-    // A plain ShardedCorpus directory: wrap it as a single-document live
-    // corpus (everything is in the base, nothing pending).
-    manifest.close();
-    api::StatusOr<std::unique_ptr<ShardedCorpus>> base =
-        ShardedCorpus::Load(dir);
-    if (!base.ok()) return base.status();
-    auto live = std::unique_ptr<LiveCorpus>(new LiveCorpus());
-    live->options_ = options;
-    live->options_.base = (*base)->options();
-    live->alphabet_ = &(*base)->text().alphabet();
-    live->text_ = (*base)->text();
-    live->text_size_ = (*base)->text_size();
-    live->docs_.push_back(
-        DocumentInfo{DocumentSpan{0, 0, live->text_size_}, true});
-    live->next_doc_id_ = 1;
-    live->base_ = std::move(base).value();
-    live->epoch_ = live->base_->epoch();
-    live->StartCompactorIfConfigured();
-    return live;
-  }
-  uint64_t gen = 0;
-  if (magic != kLiveManifestMagicV3 || !GetU64(manifest, &gen)) {
-    return api::Status::InvalidArgument("unreadable corpus manifest in " +
-                                        dir);
-  }
-
-  uint64_t shard_size = 0, overlap = 0, wavelet = 0, rate = 0, kind = 0,
-           num_base_shards = 0, base_text_size = 0, compactions = 0,
-           next_doc_id = 0, num_docs = 0;
+  uint64_t magic = 0, gen = 0, shard_size = 0, overlap = 0, wavelet = 0,
+           rate = 0, kind = 0, num_base_shards = 0, base_text_size = 0,
+           compactions = 0, next_doc_id = 0, num_docs = 0;
   std::vector<Symbol> symbols;
-  bool ok = GetU64(manifest, &shard_size) && GetU64(manifest, &overlap) &&
+  bool ok = manifest.is_open() && GetU64(manifest, &magic) &&
+            magic == kLiveManifestMagicV3 && GetU64(manifest, &gen) &&
+            GetU64(manifest, &shard_size) && GetU64(manifest, &overlap) &&
             GetU64(manifest, &wavelet) && GetU64(manifest, &rate) &&
             GetU64(manifest, &kind) && GetU64(manifest, &num_base_shards) &&
             GetU64(manifest, &base_text_size) && GetVec(manifest, &symbols) &&
@@ -581,15 +545,17 @@ api::StatusOr<std::unique_ptr<LiveCorpus>> LiveCorpus::Load(
     return api::Status::InvalidArgument("unreadable corpus manifest in " +
                                         dir);
   }
-  // The wavelet slot is kept for format compatibility and must be 0: the
-  // wavelet occ mode no longer exists.
+  // Bound every manifest integer before it feeds an allocation or signed
+  // arithmetic: a corrupt field must reject cleanly, not abort or overflow
+  // (a base cannot have more shards than characters). The wavelet slot is
+  // kept for format compatibility and must be 0: the wavelet occ mode no
+  // longer exists.
   if (wavelet != 0 || kind > 1 || rate < 1 || rate > (1ULL << 30) ||
-      shard_size < 1 ||
-      shard_size > (1ULL << 40) || overlap > shard_size ||
-      num_base_shards < 1 || symbols.empty() ||
-      symbols.size() >= (uint64_t{1} << 32) || base_text_size < 1 ||
-      base_text_size > symbols.size() || num_docs < 1 ||
-      num_docs > symbols.size()) {
+      shard_size < 1 || shard_size > (1ULL << 40) || overlap > shard_size ||
+      symbols.empty() || symbols.size() >= (uint64_t{1} << 32) ||
+      base_text_size < 1 || base_text_size > symbols.size() ||
+      num_base_shards < 1 || num_base_shards > base_text_size ||
+      num_docs < 1 || num_docs > symbols.size()) {
     return api::Status::InvalidArgument("corrupt corpus manifest in " + dir);
   }
   const int64_t text_size = static_cast<int64_t>(symbols.size());
@@ -739,15 +705,12 @@ api::StatusOr<std::unique_ptr<LiveCorpus>> LiveCorpus::Load(
 
   // Reassemble the base over the text prefix from its persisted shard
   // indexes (content-probed inside Assemble).
-  std::vector<FmIndex> prebuilt(static_cast<size_t>(num_base_shards));
-  for (uint64_t k = 0; k < num_base_shards; ++k) {
-    const std::string name =
-        ShardFileName(dir, static_cast<size_t>(k), gen);
-    std::ifstream in(name, std::ios::binary);
-    if (!in.is_open() || !prebuilt[static_cast<size_t>(k)].Load(in)) {
-      return api::Status::InvalidArgument(
-          "unreadable or corrupt shard index " + name);
-    }
+  std::vector<FmIndex> prebuilt;
+  for (size_t k = 0; k < num_base_shards; ++k) {
+    FmIndex fm;
+    api::Status read = ReadIndexFile(ShardFileName(dir, k, gen), &fm);
+    if (!read.ok()) return read;
+    prebuilt.push_back(std::move(fm));
   }
   api::StatusOr<std::unique_ptr<ShardedCorpus>> base = ShardedCorpus::Assemble(
       text.Substr(0, static_cast<size_t>(base_text_size)), base_options,
@@ -763,27 +726,16 @@ api::StatusOr<std::unique_ptr<LiveCorpus>> LiveCorpus::Load(
   std::vector<std::shared_ptr<const DeltaShard>> deltas;
   for (size_t k = 0; k < delta_metas.size(); ++k) {
     const DeltaShardMeta& m = delta_metas[k];
-    std::ifstream in(DeltaFileName(dir, k, gen), std::ios::binary);
     FmIndex fm;
-    if (!in.is_open() || !fm.Load(in)) {
-      return api::Status::InvalidArgument(
-          "unreadable or corrupt delta index " + DeltaFileName(dir, k, gen));
-    }
-    Sequence slice = text.Substr(static_cast<size_t>(m.text_start),
-                                 static_cast<size_t>(m.doc_end - m.text_start));
-    if (fm.text_size() != slice.size() || fm.sigma() != slice.sigma()) {
-      return api::Status::InvalidArgument(
-          "delta index " + DeltaFileName(dir, k, gen) +
-          " does not match the manifest text (size/sigma mismatch)");
-    }
-    Sequence rev = slice.Reversed();
-    if (fm.Find(rev.symbols().data(), rev.size()).Empty()) {
-      return api::Status::InvalidArgument(
-          "delta index " + DeltaFileName(dir, k, gen) +
-          " does not correspond to the manifest text");
-    }
-    deltas.push_back(
-        std::make_shared<const DeltaShard>(std::move(slice), m, std::move(fm)));
+    api::Status read = ReadIndexFile(DeltaFileName(dir, k, gen), &fm);
+    if (!read.ok()) return read;
+    api::StatusOr<std::unique_ptr<ShardIndex>> index = ShardIndex::Adopt(
+        text.Substr(static_cast<size_t>(m.text_start),
+                    static_cast<size_t>(m.doc_end - m.text_start)),
+        std::move(fm), "delta index " + DeltaFileName(dir, k, gen));
+    if (!index.ok()) return index.status();
+    deltas.push_back(std::make_shared<const DeltaShard>(
+        DeltaShard{m, std::move(index).value()}));
   }
 
   // Leftovers of an interrupted save or compaction are inert — the
@@ -864,7 +816,7 @@ std::shared_ptr<const ShardedCorpus> LiveCorpus::base() const {
 size_t LiveCorpus::IndexBytes() const {
   std::lock_guard<std::mutex> lock(state_mu_);
   size_t total = base_->IndexBytes();
-  for (const auto& d : deltas_) total += d->IndexBytes();
+  for (const auto& d : deltas_) total += d->index->IndexBytes();
   return total;
 }
 

@@ -99,10 +99,9 @@ class LiveCorpus : public CorpusSource {
       Sequence text, std::vector<DocumentSpan> docs,
       LiveCorpusOptions options = {});
 
-  // Loads a directory written by Save (live manifest v3 with
-  // generation-stamped data files, including pending deltas and the
-  // tombstone journal) or by ShardedCorpus::Save
-  // (v1; wrapped as a single-document live corpus). Stale staging files
+  // Loads a directory written by Save (manifest v3 with generation-stamped
+  // data files, including pending deltas and the tombstone journal); any
+  // other manifest is rejected with kInvalidArgument. Stale staging files
   // from an interrupted save/compaction (corpus.manifest.tmp,
   // compact.tmp, data files of other generations) are ignored and cleaned
   // up. Geometry and index options come from the manifest; `options`

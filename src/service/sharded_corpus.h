@@ -2,12 +2,8 @@
 #define ALAE_SERVICE_SHARDED_CORPUS_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/api/api.h"
@@ -35,8 +31,8 @@ struct ShardedCorpusOptions {
 };
 
 // A long text split into fixed-size shards, each carrying its own
-// FM-index (built, or loaded from disk via the ALAEF3M format) and its own
-// per-backend Aligner instances from the AlignerRegistry. This is the
+// ShardIndex: an FM-index (built, or adopted from a LiveCorpus save) and
+// the per-backend Aligner instances from its AlignerRegistry. This is the
 // LogBase shape: partition the store, keep per-partition indexes, serve
 // every partition through one front door.
 //
@@ -64,7 +60,7 @@ class ShardedCorpus : public CorpusSource {
     int64_t length = 0;      // covered characters
     int64_t owned_begin = 0; // global ends [owned_begin, owned_end) are ours
     int64_t owned_end = 0;
-    std::unique_ptr<api::AlignerRegistry> registry;
+    std::unique_ptr<const ShardIndex> index;
   };
 
   // Splits `text` and builds one FM-index per shard. The optional cancel
@@ -75,30 +71,11 @@ class ShardedCorpus : public CorpusSource {
       Sequence text, ShardedCorpusOptions options = {},
       const CancelToken* cancel = nullptr);
 
-  // Persists the corpus as a directory: one `shard-NNNN.fm` ALAEF3M file
-  // per shard plus `corpus.manifest` (geometry + the full text, stored
-  // once), staged and renamed into place last so an interrupted save of a
-  // fresh directory never leaves a manifest naming missing shards.
-  api::Status Save(const std::string& dir) const;
-
-  // Writes just the per-shard shard files into `dir` (which must exist):
-  // `shard-NNNN.fm` for generation 0, `shard-NNNN.g<gen>.fm` otherwise.
-  // Save composes this (gen 0) with the v1 manifest; LiveCorpus::Save
-  // composes it with the live manifest under the generation it is staging,
-  // so the files of the still-authoritative previous save are never
-  // touched.
-  api::Status SaveShardFiles(const std::string& dir, uint64_t gen = 0) const;
-
-  // Loads a corpus saved by Save, reusing the persisted per-shard
-  // FM-indexes instead of rebuilding them.
-  static api::StatusOr<std::unique_ptr<ShardedCorpus>> Load(
-      const std::string& dir);
-
-  // Computes shard boundaries and constructs registries from the given
-  // per-shard indexes; with an empty `prebuilt` list the indexes are built
-  // from the text (== Build). Exposed for the live-corpus loader, which
-  // reassembles a base from manifest-v2 payloads; `prebuilt` indexes are
-  // content-probed against the text.
+  // Computes shard boundaries and constructs the shard indexes from the
+  // given per-shard FM-indexes; with an empty `prebuilt` list they are
+  // built from the text (== Build). Exposed for LiveCorpus::Load, which
+  // reassembles its base from the persisted shard files; `prebuilt`
+  // indexes are content-probed against the text (ShardIndex::Adopt).
   static api::StatusOr<std::unique_ptr<ShardedCorpus>> Assemble(
       Sequence text, ShardedCorpusOptions options,
       std::vector<FmIndex> prebuilt, const CancelToken* cancel = nullptr);
@@ -114,30 +91,13 @@ class ShardedCorpus : public CorpusSource {
   // rebuild or reload.
   uint64_t epoch() const { return epoch_; }
 
-  // The shard-k aligner for a backend, built on first use and cached
-  // (thread-safe). kNotFound for unknown backend names.
-  api::StatusOr<const api::Aligner*> AlignerFor(size_t shard,
-                                               std::string_view backend) const;
-
-  // Whether `backend`'s answer for `request` is guaranteed bit-exact under
-  // this geometry: the request's worst-case alignment span (plus BLAST's
-  // X-drop exploration margin for the heuristic backend) must fit in the
-  // overlap. kInvalidArgument with the limiting numbers otherwise.
-  api::Status ValidateSpan(std::string_view backend,
-                           const api::SearchRequest& request) const;
-
-  // True when `global_end` (a text end coordinate) is owned by `shard`.
-  bool OwnsGlobalEnd(size_t shard, int64_t global_end) const {
-    return global_end >= shards_[shard].owned_begin &&
-           global_end < shards_[shard].owned_end;
-  }
-
-  // Total index footprint across shards.
+  // Total index footprint across shards (ShardIndex::IndexBytes summed).
   size_t IndexBytes() const;
 
   // The corpus as an immutable snapshot: one slice per shard, no deltas,
   // no tombstones. The corpus must outlive the view (slices reference its
-  // registries; a plain corpus carries no keepalive owner).
+  // shard indexes; a plain corpus sets no keepalive owner — LiveCorpus
+  // sets one on the base slices it takes from here).
   CorpusView Snapshot() const override;
 
  private:
@@ -147,11 +107,6 @@ class ShardedCorpus : public CorpusSource {
   ShardedCorpusOptions options_;
   std::vector<Shard> shards_;
   uint64_t epoch_ = 0;
-
-  mutable std::mutex aligners_mu_;
-  mutable std::map<std::pair<size_t, std::string>,
-                   std::unique_ptr<api::Aligner>, std::less<>>
-      aligners_;
 };
 
 }  // namespace service

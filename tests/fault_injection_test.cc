@@ -139,7 +139,7 @@ TEST_F(FaultInjectionTest, SaveSweepLeavesPreviousManifestAuthoritative) {
   // The save path must cross every known persistence write site — if one
   // is missing the hooks (or this fixture) regressed.
   for (const char* required :
-       {"sharded/save/shard", "live/save/delta", "live/save/journal",
+       {"live/save/shard", "live/save/delta", "live/save/journal",
         "live/save/manifest-write", "live/save/manifest-rename"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), required), sites.end())
         << "save never crossed " << required;
@@ -180,22 +180,17 @@ TEST_F(FaultInjectionTest, SaveSweepLeavesPreviousManifestAuthoritative) {
   CorpusFingerprint::Of(**final_load, query).ExpectEquals(expected, "final");
 }
 
-// A fresh-directory ShardedCorpus::Save that fails at any site must not
-// leave a loadable manifest naming missing or truncated shards.
-TEST_F(FaultInjectionTest, ShardedSaveFailureNeverPublishesAManifest) {
+// A fresh-directory LiveCorpus::Save that fails at any site must not
+// leave a loadable manifest naming missing or truncated data files.
+TEST_F(FaultInjectionTest, FreshSaveFailureNeverPublishesAManifest) {
   SequenceGenerator gen(18);
-  ShardedCorpusOptions options;
-  options.shard_size = 500;
-  options.overlap = 190;
-  auto corpus = ShardedCorpus::Build(gen.Random(1'200, Alphabet::Dna()),
-                                     options);
-  ASSERT_TRUE(corpus.ok());
+  std::unique_ptr<LiveCorpus> live = BuildFixture(gen);
 
   ScopedFaultInjector injector;
-  ASSERT_TRUE((*corpus)->Save(dir()).ok());
+  ASSERT_TRUE(live->Save(dir()).ok());
   std::filesystem::remove_all(dir());
   const std::vector<std::string> sites = injector->SitesSeen();
-  EXPECT_NE(std::find(sites.begin(), sites.end(), "sharded/save/manifest"),
+  EXPECT_NE(std::find(sites.begin(), sites.end(), "live/save/manifest-write"),
             sites.end());
 
   std::vector<std::pair<std::string, uint64_t>> sweep;
@@ -204,18 +199,19 @@ TEST_F(FaultInjectionTest, ShardedSaveFailureNeverPublishesAManifest) {
       sweep.emplace_back(site, nth);
     }
   }
+  ASSERT_GE(sweep.size(), 5u);
   for (const auto& [site, nth] : sweep) {
     const std::string label = site + "#" + std::to_string(nth);
     std::filesystem::remove_all(dir());
     injector->Reset();
     injector->FailAt(site, nth);
-    EXPECT_FALSE((*corpus)->Save(dir()).ok()) << label;
+    EXPECT_FALSE(live->Save(dir()).ok()) << label;
     injector->Reset();
     // The manifest is written last and staged: a failed save of a fresh
     // directory must leave no manifest at all.
     EXPECT_FALSE(std::filesystem::exists(dir() + "/corpus.manifest"))
         << label << " published a manifest from a failed save";
-    EXPECT_FALSE(ShardedCorpus::Load(dir()).ok()) << label;
+    EXPECT_FALSE(LiveCorpus::Load(dir(), SmallLiveOptions()).ok()) << label;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -366,32 +367,6 @@ TEST_F(LiveCorpusPersistTest, ReloadWithPendingMutationsResumesAnswers) {
   }
 }
 
-// A v1 directory (plain ShardedCorpus::Save) loads as a single-document
-// live corpus and accepts mutations from there.
-TEST_F(LiveCorpusPersistTest, LoadsV1ManifestAsSingleDocument) {
-  SequenceGenerator gen(42);
-  ShardedCorpusOptions base;
-  base.shard_size = 500;
-  base.overlap = 190;
-  auto corpus = ShardedCorpus::Build(gen.Random(800, Alphabet::Dna()), base);
-  ASSERT_TRUE(corpus.ok());
-  ASSERT_TRUE((*corpus)->Save(dir()).ok());
-
-  LiveCorpusOptions options = SmallLiveOptions();
-  api::StatusOr<std::unique_ptr<LiveCorpus>> live =
-      LiveCorpus::Load(dir(), options);
-  ASSERT_TRUE(live.ok()) << live.status().ToString();
-  EXPECT_EQ((*live)->text_size(), 800);
-  std::vector<LiveCorpus::DocumentInfo> docs = (*live)->Documents();
-  ASSERT_EQ(docs.size(), 1u);
-  EXPECT_EQ(docs[0].span.id, 0u);
-  api::StatusOr<uint64_t> id =
-      (*live)->AppendDocument(gen.Random(100, Alphabet::Dna()));
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(*id, 1u);
-  EXPECT_EQ((*live)->num_deltas(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Manifest load hardening
 // ---------------------------------------------------------------------------
@@ -426,6 +401,22 @@ class LiveManifestHardeningTest : public LiveCorpusPersistTest {
     return dir() + "/" + prefix + ext;
   }
 
+  // Renames every generation-1 data file to the plain name the retired
+  // manifest formats used (shard-0.g1.fm -> shard-0.fm).
+  void StripGenerationInfixes() {
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir())) {
+      files.push_back(entry.path());
+    }
+    for (const std::filesystem::path& file : files) {
+      std::string name = file.filename().string();
+      const size_t infix = name.find(".g1.");
+      if (infix == std::string::npos) continue;
+      name.erase(infix, 3);
+      std::filesystem::rename(file, file.parent_path() / name);
+    }
+  }
+
   std::unique_ptr<LiveCorpus> live_;
   size_t text_size_ = 0;
 };
@@ -449,21 +440,124 @@ TEST_F(LiveManifestHardeningTest, LegacyV2ManifestIsRejected) {
   }
   bytes.erase(8, 8);  // generation word is v3-only
   std::ofstream(manifest, std::ios::binary | std::ios::trunc) << bytes;
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir())) {
-    files.push_back(entry.path());
-  }
-  for (const std::filesystem::path& file : files) {
-    std::string name = file.filename().string();
-    const size_t infix = name.find(".g1.");
-    if (infix == std::string::npos) continue;
-    name.erase(infix, 3);
-    std::filesystem::rename(file, file.parent_path() / name);
-  }
+  StripGenerationInfixes();
   api::StatusOr<std::unique_ptr<LiveCorpus>> live =
       LiveCorpus::Load(dir(), SmallLiveOptions());
   ASSERT_FALSE(live.ok());
   EXPECT_EQ(live.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(LiveManifestHardeningTest, LegacyV1ManifestIsRejected) {
+  // Retired "ALAESRV1" manifests (the immutable-corpus format: geometry and
+  // text only, plain data file names, no journal) must fail Load.
+  // Synthesised from a v3 save of a one-document corpus with nothing
+  // pending: swap the magic, drop the generation and base_text_size words
+  // and everything past the text, strip the files' ".g1" infix and remove
+  // the journal — the rest of a v1 directory is byte-identical, so only
+  // the magic rejects it.
+  constexpr uint64_t kV1Magic = 0x414C414553525631ULL;
+  SequenceGenerator gen(42);
+  live_ = MustBuildLive(gen.Random(800, Alphabet::Dna()),
+                        {DocumentSpan{0, 0, 800}}, SmallLiveOptions());
+  ASSERT_TRUE(live_->Save(dir()).ok());
+  const std::string manifest = dir() + "/corpus.manifest";
+  std::string bytes;
+  {
+    std::ifstream in(manifest, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // v3: magic, generation, shard_size, overlap, wavelet, rate, kind,
+  // num_base_shards, base_text_size, then the text (u64 length + bytes).
+  ASSERT_GT(bytes.size(), 80u + 800u);
+  std::string v1(8, '\0');
+  for (int b = 0; b < 8; ++b) {
+    v1[static_cast<size_t>(b)] = static_cast<char>(kV1Magic >> (b * 8));
+  }
+  v1 += bytes.substr(16, 48);       // shard_size .. num_shards
+  v1 += bytes.substr(72, 8 + 800);  // the text
+  std::ofstream(manifest, std::ios::binary | std::ios::trunc) << v1;
+  std::filesystem::remove(DataFile("tombstones", ".journal"));
+  StripGenerationInfixes();
+  ASSERT_TRUE(std::filesystem::exists(dir() + "/shard-0.fm"));
+  api::StatusOr<std::unique_ptr<LiveCorpus>> live =
+      LiveCorpus::Load(dir(), SmallLiveOptions());
+  ASSERT_FALSE(live.ok());
+  EXPECT_EQ(live.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Corrupt manifest integers must reject cleanly: a huge num_base_shards
+// must not trigger a giant allocation, a huge overlap no signed overflow.
+TEST_F(LiveManifestHardeningTest, RejectsCorruptManifestIntegers) {
+  SaveFixture();
+  const std::string manifest = dir() + "/corpus.manifest";
+  std::string payload;
+  {
+    std::ifstream in(manifest, std::ios::binary);
+    payload.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Field layout: magic, generation, shard_size, overlap, wavelet, rate,
+  // kind, num_base_shards — each a little-endian u64.
+  struct Corruption {
+    size_t offset;
+    uint64_t value;
+  };
+  const Corruption corruptions[] = {
+      {16, 1ULL << 62},         // shard_size: overflow bait
+      {24, (1ULL << 62) + 3},   // overlap: 2*overlap would wrap
+      {56, 1ULL << 60},         // num_base_shards: allocation bomb bait
+      {56, 0},                  // num_base_shards: zero
+  };
+  for (const Corruption& c : corruptions) {
+    std::string bad = payload;
+    std::memcpy(&bad[c.offset], &c.value, sizeof(c.value));
+    std::ofstream(manifest, std::ios::binary | std::ios::trunc) << bad;
+    api::StatusOr<std::unique_ptr<LiveCorpus>> live =
+        LiveCorpus::Load(dir(), SmallLiveOptions());
+    ASSERT_FALSE(live.ok()) << "offset " << c.offset;
+    EXPECT_EQ(live.status().code(), StatusCode::kInvalidArgument)
+        << "offset " << c.offset << ": " << live.status().ToString();
+  }
+}
+
+TEST_F(LiveManifestHardeningTest, RejectsTamperedBaseShardFile) {
+  SaveFixture();
+  // Flip one byte in the middle of a base shard index payload.
+  const std::string shard = DataFile("shard-1.", ".fm");
+  std::string payload;
+  {
+    std::ifstream in(shard, std::ios::binary);
+    payload.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_FALSE(payload.empty());
+  payload[payload.size() / 2] ^= 0x40;
+  std::ofstream(shard, std::ios::binary | std::ios::trunc) << payload;
+  api::StatusOr<std::unique_ptr<LiveCorpus>> live =
+      LiveCorpus::Load(dir(), SmallLiveOptions());
+  ASSERT_FALSE(live.ok());
+  EXPECT_EQ(live.status().code(), StatusCode::kInvalidArgument)
+      << live.status().ToString();
+}
+
+// Interior base shards share length and sigma, so only the full-content
+// probe can tell swapped (or stale same-geometry) shard files from the
+// right ones; Load must refuse rather than silently serve wrong hits.
+TEST_F(LiveManifestHardeningTest, RejectsSwappedBaseShardFiles) {
+  SaveFixture();
+  ASSERT_GE(live_->base()->num_shards(), 3u);
+  ASSERT_EQ(live_->base()->shard(1).length, live_->base()->shard(2).length);
+  const std::string a = DataFile("shard-1.", ".fm");
+  const std::string b = DataFile("shard-2.", ".fm");
+  std::filesystem::rename(a, a + ".swap");
+  std::filesystem::rename(b, a);
+  std::filesystem::rename(a + ".swap", b);
+  api::StatusOr<std::unique_ptr<LiveCorpus>> live =
+      LiveCorpus::Load(dir(), SmallLiveOptions());
+  ASSERT_FALSE(live.ok());
+  EXPECT_EQ(live.status().code(), StatusCode::kInvalidArgument)
+      << live.status().ToString();
+  EXPECT_NE(live.status().message().find("does not correspond"),
+            std::string::npos)
+      << live.status().ToString();
 }
 
 TEST_F(LiveManifestHardeningTest, RejectsTruncatedTombstoneJournal) {

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -407,130 +404,6 @@ TEST(QuerySchedulerTest, RejectsQueriesTooLongForOverlapAndUnknownBackend) {
       scheduler.Search("nope", MakeRequest(gen.Random(20, Alphabet::Dna()), 10));
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
-}
-
-TEST(ShardedCorpus, SaveLoadRoundTrips) {
-  SequenceGenerator gen(412);
-  Sequence text = gen.Random(1'400, Alphabet::Dna());
-  Sequence query = gen.HomologousQuery(text, 40, 0.8, 0.1, 0.01);
-  ShardedCorpusOptions options;
-  options.shard_size = 500;
-  options.overlap = 150;
-  std::unique_ptr<ShardedCorpus> corpus = MustBuild(text, options);
-
-  std::string dir = ::testing::TempDir() + "/alae_corpus_roundtrip";
-  std::filesystem::remove_all(dir);
-  api::Status saved = corpus->Save(dir);
-  ASSERT_TRUE(saved.ok()) << saved.ToString();
-
-  auto loaded = ShardedCorpus::Load(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->num_shards(), corpus->num_shards());
-  EXPECT_NE((*loaded)->epoch(), corpus->epoch())
-      << "reloaded corpora must never share a cache epoch";
-
-  QueryScheduler before(*corpus, {});
-  QueryScheduler after(**loaded, {});
-  SearchRequest request = MakeRequest(query, 18);
-  api::StatusOr<SearchResponse> a = before.Search("alae", request);
-  api::StatusOr<SearchResponse> b = after.Search("alae", request);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->hits, b->hits);
-}
-
-TEST(ShardedCorpus, LoadRejectsTamperedShardFile) {
-  SequenceGenerator gen(413);
-  Sequence text = gen.Random(900, Alphabet::Dna());
-  ShardedCorpusOptions options;
-  options.shard_size = 400;
-  options.overlap = 100;
-  std::unique_ptr<ShardedCorpus> corpus = MustBuild(text, options);
-  std::string dir = ::testing::TempDir() + "/alae_corpus_tamper";
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(corpus->Save(dir).ok());
-
-  // Flip one byte in the middle of a shard index payload.
-  std::string shard_file = dir + "/shard-1.fm";
-  std::ifstream in(shard_file, std::ios::binary);
-  std::string payload((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
-  payload[payload.size() / 2] ^= 0x40;
-  std::ofstream out(shard_file, std::ios::binary | std::ios::trunc);
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.close();
-
-  auto loaded = ShardedCorpus::Load(dir);
-  EXPECT_FALSE(loaded.ok());
-}
-
-// Interior shards share length and sigma, so only a full-content probe
-// can tell swapped (or stale same-geometry) shard files from the right
-// ones; Load must refuse rather than silently serve wrong hits.
-TEST(ShardedCorpus, LoadRejectsSwappedShardFiles) {
-  SequenceGenerator gen(417);
-  Sequence text = gen.Random(1'500, Alphabet::Dna());
-  ShardedCorpusOptions options;
-  options.shard_size = 400;
-  options.overlap = 100;
-  std::unique_ptr<ShardedCorpus> corpus = MustBuild(text, options);
-  ASSERT_GE(corpus->num_shards(), 3u);
-  std::string dir = ::testing::TempDir() + "/alae_corpus_swap";
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(corpus->Save(dir).ok());
-
-  // Shards 1 and 2 have identical geometry; swap their index files.
-  std::filesystem::rename(dir + "/shard-1.fm", dir + "/shard-tmp.fm");
-  std::filesystem::rename(dir + "/shard-2.fm", dir + "/shard-1.fm");
-  std::filesystem::rename(dir + "/shard-tmp.fm", dir + "/shard-2.fm");
-
-  auto loaded = ShardedCorpus::Load(dir);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-// Corrupt manifest integers must reject cleanly — a huge num_shards must
-// not trigger a giant allocation, a huge overlap no signed overflow.
-TEST(ShardedCorpus, LoadRejectsCorruptManifestIntegers) {
-  SequenceGenerator gen(416);
-  Sequence text = gen.Random(900, Alphabet::Dna());
-  ShardedCorpusOptions options;
-  options.shard_size = 400;
-  options.overlap = 100;
-  std::unique_ptr<ShardedCorpus> corpus = MustBuild(text, options);
-  std::string dir = ::testing::TempDir() + "/alae_corpus_manifest";
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(corpus->Save(dir).ok());
-
-  std::string manifest_file = dir + "/corpus.manifest";
-  std::ifstream in(manifest_file, std::ios::binary);
-  std::string payload((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
-  // Field layout: magic, shard_size, overlap, wavelet, rate, kind,
-  // num_shards — each a little-endian u64.
-  struct Corruption {
-    size_t offset;
-    uint64_t value;
-  };
-  const Corruption corruptions[] = {
-      {8, 1ULL << 62},            // shard_size: overflow bait
-      {16, (1ULL << 62) + 3},     // overlap: 2*overlap would wrap
-      {24, 1},                    // retired wavelet-mode slot must be 0
-      {48, 1ULL << 60},           // num_shards: allocation bomb bait
-      {48, 0},                    // num_shards: zero
-  };
-  for (const Corruption& c : corruptions) {
-    std::string bad = payload;
-    std::memcpy(&bad[c.offset], &c.value, sizeof(c.value));
-    std::ofstream out(manifest_file, std::ios::binary | std::ios::trunc);
-    out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
-    out.close();
-    auto loaded = ShardedCorpus::Load(dir);
-    ASSERT_FALSE(loaded.ok()) << "offset " << c.offset;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  }
 }
 
 TEST(ShardedCorpus, BuildRejectsDegenerateGeometry) {
