@@ -9,7 +9,7 @@
 //   --scheme=a,b,g,s   scoring scheme, e.g. --scheme=1,-3,-5,-2 (default)
 //   --evalue=E         threshold from the Karlin-Altschul conversion (§7)
 //   --threshold=H      explicit score threshold (overrides --evalue)
-//   --engine=NAME      any registered backend: alae (default), bwt-sw,
+//   --engine=NAME      any built-in backend: alae (default), bwt-sw,
 //                      blast, sw, basic
 //   --threads=N        parallel queries (0 = hardware concurrency)
 //   --max-hits=N       print at most N hits per query (default 25)
@@ -19,8 +19,9 @@
 // Output: TSV with one row per hit:
 //   query_id  text_end  query_end  score  e_value  [cigar  identity]
 //
-// Every engine rides the same AlignerRegistry/SearchRequest facade, so
-// --engine switches backends without touching any other code path.
+// Every engine rides the same QueryScheduler/SearchRequest front door,
+// over a one-shard in-memory corpus, so --engine switches backends without
+// touching any other code path.
 
 #include <algorithm>
 #include <cstdio>
@@ -30,8 +31,8 @@
 #include <vector>
 
 #include "src/align/traceback.h"
-#include "src/api/api.h"
 #include "src/io/fasta.h"
+#include "src/service/service.h"
 #include "src/sim/generator.h"
 #include "src/stats/karlin.h"
 #include "src/util/timer.h"
@@ -137,11 +138,18 @@ int main(int argc, char** argv) {
   const int64_t n = static_cast<int64_t>(text.size());
   Timer timer;
 
-  // Index once; the registry hands any backend the shared index.
-  api::AlignerRegistry registry(text);
-  api::StatusOr<std::unique_ptr<api::Aligner>> aligner =
-      registry.Create(opt.engine);
-  if (!aligner.ok()) {
+  // Index once, as a one-shard corpus: with a single slice the scheduler
+  // needs no overlap, so queries of any length are accepted.
+  api::StatusOr<std::unique_ptr<service::ShardedCorpus>> corpus =
+      service::ShardedCorpus::Build(text, {.shard_size = n + 1, .overlap = 0});
+  if (!corpus.ok()) {
+    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
+    return 1;
+  }
+  // Resolve the backend up front: an unknown --engine runs no search.
+  if (api::StatusOr<const api::Aligner*> aligner =
+          (*corpus)->shard(0).index->AlignerFor(opt.engine);
+      !aligner.ok()) {
     std::fprintf(stderr, "%s\n", aligner.status().ToString().c_str());
     return 2;
   }
@@ -167,44 +175,31 @@ int main(int argc, char** argv) {
     requests.push_back(std::move(request));
   }
 
-  // One bad record must not abort the rest: the driver is all-or-nothing,
-  // so validate per query and batch only the valid ones.
-  std::vector<api::SearchRequest> valid_requests;
-  std::vector<size_t> origin;  // valid_requests[k] answers queries[origin[k]]
-  for (size_t qi = 0; qi < requests.size(); ++qi) {
-    api::Status status = (*aligner)->Validate(requests[qi]);
-    if (status.ok()) {
-      valid_requests.push_back(requests[qi]);
-      origin.push_back(qi);
-    } else {
-      std::fprintf(stderr, "%s: skipped (%s)\n", queries[qi].first.c_str(),
-                   status.ToString().c_str());
-    }
+  // Each query carries its own status: one bad record is skipped without
+  // aborting the rest. One query per pool task, so --threads spreads the
+  // queries over the workers (there is only the one slice to spread).
+  service::QueryScheduler scheduler(
+      **corpus, {.threads = opt.threads, .batch_size = 1});
+  std::vector<api::QueryOutcome> outcomes =
+      scheduler.SearchBatch(opt.engine, requests);
+  size_t failed = 0;
+  for (size_t qi = 0; qi < outcomes.size(); ++qi) {
+    if (outcomes[qi].ok()) continue;
+    ++failed;
+    std::fprintf(stderr, "%s: skipped (%s)\n", queries[qi].first.c_str(),
+                 outcomes[qi].status.ToString().c_str());
   }
-
-  if (valid_requests.empty() && !queries.empty()) {
+  if (!queries.empty() && failed == queries.size()) {
     std::fprintf(stderr, "search failed: every query was rejected\n");
     return 1;
-  }
-
-  api::MultiQueryDriver driver(**aligner);
-  api::StatusOr<std::vector<api::SearchResponse>> batch =
-      driver.Run(valid_requests, opt.threads);
-  if (!batch.ok()) {
-    std::fprintf(stderr, "search failed: %s\n",
-                 batch.status().ToString().c_str());
-    return 1;
-  }
-  std::vector<api::SearchResponse> responses(queries.size());
-  for (size_t k = 0; k < batch->size(); ++k) {
-    responses[origin[k]] = std::move((*batch)[k]);
   }
 
   std::printf("#query\ttext_end\tquery_end\tscore\te_value%s\n",
               opt.traceback ? "\tcigar\tidentity" : "");
   for (size_t qi = 0; qi < queries.size(); ++qi) {
+    if (!outcomes[qi].ok()) continue;
     const auto& [id, query] = queries[qi];
-    const api::SearchResponse& response = responses[qi];
+    const api::SearchResponse& response = outcomes[qi].response;
     int64_t m = static_cast<int64_t>(query.size());
     std::fprintf(stderr, "%s: H=%d, %zu hits, %.3fs\n", id.c_str(),
                  requests[qi].threshold, response.hits.size(),

@@ -51,17 +51,6 @@ StatusOr<std::unique_ptr<QueryPlan>> Aligner::Compile(
   return plan;
 }
 
-StatusOr<std::unique_ptr<QueryPlan>> Aligner::CompileImpl(
-    SearchRequest request) const {
-  return std::make_unique<QueryPlan>(name(), std::move(request));
-}
-
-Status Aligner::SearchImpl(const SearchRequest&, const HitSink&,
-                           EngineStats*) const {
-  return Status::Internal(std::string(name()) +
-                          " implements neither SearchImpl overload");
-}
-
 Status Aligner::Search(const QueryPlan& plan, const HitSink& sink,
                        EngineStats* stats) const {
   if (plan.backend() != name()) {

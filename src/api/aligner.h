@@ -35,7 +35,7 @@ namespace api {
 //    scores, never spurious pairs above their true score.
 //  - Search is const and thread-safe: one Aligner may serve concurrent
 //    requests, and one plan may serve concurrent Search calls (the
-//    multi-query driver and the sharded service rely on both).
+//    sharded service relies on both).
 class Aligner {
  public:
   virtual ~Aligner() = default;
@@ -60,15 +60,6 @@ class Aligner {
   // the request's alphabet.
   StatusOr<std::unique_ptr<QueryPlan>> Compile(SearchRequest request) const;
 
-  // Warms shared state and reports whether the request would compile; the
-  // result plan is discarded. The default routes through Compile — the
-  // one code path for "validate + warm + precompute" — and backends
-  // should rarely need to override it (only for warm-up work that
-  // Compile, which may run per query, must not repeat).
-  virtual Status Prepare(const SearchRequest& request) const {
-    return Compile(request).status();
-  }
-
   // Executes a compiled plan: runs the engine and feeds `sink`. The sink's
   // false return and the plan request's max_hits both stop the stream
   // early; `stats` (optional) receives timing, counters and truncation
@@ -88,27 +79,17 @@ class Aligner {
   StatusOr<SearchResponse> Search(const SearchRequest& request) const;
 
  protected:
-  // Backend-specific compilation. The base implementation returns a plain
-  // QueryPlan (validated request + fingerprint), which is all a backend
-  // without query-side precomputation needs. Overrides may also reject
+  // Backend-specific compilation of a validated request: the backend's
+  // query-side precomputation, packed into its plan type. May also reject
   // requests this aligner can never run (e.g. BASIC's text-size cap).
   virtual StatusOr<std::unique_ptr<QueryPlan>> CompileImpl(
-      SearchRequest request) const;
+      SearchRequest request) const = 0;
 
   // Engine-specific body for compiled plans. `sink` already enforces
   // max_hits and counts emissions; implementations just stream ordered
-  // hits into it and stop when it returns false. The base implementation
-  // delegates to the legacy request-shaped overload below, so externally
-  // registered backends keep working unchanged.
+  // hits into it and stop when it returns false.
   virtual Status SearchImpl(const QueryPlan& plan, const HitSink& sink,
-                            EngineStats* stats) const {
-    return SearchImpl(plan.request(), sink, stats);
-  }
-
-  // Legacy request-shaped engine body. Built-in backends implement the
-  // plan overload instead; custom backends may keep overriding this one.
-  virtual Status SearchImpl(const SearchRequest& request, const HitSink& sink,
-                            EngineStats* stats) const;
+                            EngineStats* stats) const = 0;
 
   // Streams a collector's sorted hits into a sink (the adapter for engines
   // that materialise internally).

@@ -15,7 +15,6 @@
 
 #include "src/api/aligner.h"    // IWYU pragma: export
 #include "src/api/backends.h"   // IWYU pragma: export
-#include "src/api/driver.h"     // IWYU pragma: export
 #include "src/api/plan.h"       // IWYU pragma: export
 #include "src/api/registry.h"   // IWYU pragma: export
 #include "src/api/search.h"     // IWYU pragma: export

@@ -17,8 +17,8 @@ namespace {
 // Plans cross aligner instances of one backend (the sharded service
 // compiles on shard 0 and executes everywhere), so execution re-derives
 // the typed plan by downcast. A base-class plan with the right backend
-// name can only come from an externally registered aligner that shares a
-// builtin's name; compiling locally keeps that configuration correct.
+// name can only come from a QueryPlan constructed directly rather than
+// compiled; compiling locally keeps that case correct.
 template <typename Plan>
 const Plan* Typed(const QueryPlan& plan) {
   return dynamic_cast<const Plan*>(&plan);

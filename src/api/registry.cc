@@ -7,72 +7,48 @@
 namespace alae {
 namespace api {
 
-AlignerRegistry::AlignerRegistry(Sequence text, FmIndexOptions options)
-    : index_(std::make_shared<const AlaeIndex>(std::move(text), options)) {
-  RegisterBuiltins();
+namespace {
+
+template <typename Backend>
+std::unique_ptr<Aligner> Make(std::shared_ptr<const AlaeIndex> index) {
+  return std::make_unique<Backend>(std::move(index));
 }
+
+struct BackendEntry {
+  std::string_view name;  // canonical name or alias
+  std::unique_ptr<Aligner> (*make)(std::shared_ptr<const AlaeIndex>);
+};
+
+constexpr BackendEntry kBackends[] = {
+    {"alae", Make<AlaeBackend>},
+    {"bwt-sw", Make<BwtSwBackend>},
+    {"bwtsw", Make<BwtSwBackend>},
+    {"blast", Make<BlastBackend>},
+    {"sw", Make<SmithWatermanBackend>},
+    {"smith-waterman", Make<SmithWatermanBackend>},
+    {"basic", Make<BasicBackend>},
+};
+
+}  // namespace
+
+AlignerRegistry::AlignerRegistry(Sequence text, FmIndexOptions options)
+    : index_(std::make_shared<const AlaeIndex>(std::move(text), options)) {}
 
 AlignerRegistry::AlignerRegistry(std::shared_ptr<const AlaeIndex> index)
-    : index_(std::move(index)) {
-  RegisterBuiltins();
-}
-
-void AlignerRegistry::RegisterBuiltins() {
-  Register("alae", [](std::shared_ptr<const AlaeIndex> index) {
-    return std::make_unique<AlaeBackend>(std::move(index));
-  });
-  Register("bwt-sw", [](std::shared_ptr<const AlaeIndex> index) {
-    return std::make_unique<BwtSwBackend>(std::move(index));
-  });
-  Register("blast", [](std::shared_ptr<const AlaeIndex> index) {
-    return std::make_unique<BlastBackend>(std::move(index));
-  });
-  Register("sw", [](std::shared_ptr<const AlaeIndex> index) {
-    return std::make_unique<SmithWatermanBackend>(std::move(index));
-  });
-  Register("basic", [](std::shared_ptr<const AlaeIndex> index) {
-    return std::make_unique<BasicBackend>(std::move(index));
-  });
-  aliases_.emplace("bwtsw", "bwt-sw");
-  aliases_.emplace("smith-waterman", "sw");
-}
+    : index_(std::move(index)) {}
 
 StatusOr<std::unique_ptr<Aligner>> AlignerRegistry::Create(
     std::string_view name) const {
-  std::string_view resolved = name;
-  if (auto alias = aliases_.find(name); alias != aliases_.end()) {
-    resolved = alias->second;
+  for (const BackendEntry& entry : kBackends) {
+    if (entry.name == name) return entry.make(index_);
   }
-  auto it = factories_.find(resolved);
-  if (it == factories_.end()) {
-    std::string known;
-    for (const std::string& n : Names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    return Status::NotFound("unknown backend \"" + std::string(name) +
-                            "\"; known backends: " + known);
+  std::string known;
+  for (const std::string& n : BuiltinNames()) {
+    if (!known.empty()) known += ", ";
+    known += n;
   }
-  return it->second(index_);
-}
-
-bool AlignerRegistry::Has(std::string_view name) const {
-  return factories_.count(std::string(name)) > 0 ||
-         aliases_.count(std::string(name)) > 0;
-}
-
-std::vector<std::string> AlignerRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) {
-    (void)factory;
-    names.push_back(name);
-  }
-  return names;
-}
-
-void AlignerRegistry::Register(std::string name, Factory factory) {
-  factories_[std::move(name)] = std::move(factory);
+  return Status::NotFound("unknown backend \"" + std::string(name) +
+                          "\"; known backends: " + known);
 }
 
 const std::vector<std::string>& AlignerRegistry::BuiltinNames() {

@@ -1,8 +1,6 @@
 #ifndef ALAE_API_REGISTRY_H_
 #define ALAE_API_REGISTRY_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -23,15 +21,11 @@ namespace api {
 //
 // The registry builds the AlaeIndex (FM-index over reverse(T)) once; every
 // backend — including the text-only ones — reads from it, so creating five
-// backends costs one index. Factories registered at runtime extend the
-// backend set (custom engines slot in behind the same facade).
+// backends costs one index. The backend set is closed: the five built-in
+// engines and two aliases.
 class AlignerRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<Aligner>(
-      std::shared_ptr<const AlaeIndex>)>;
-
-  // Indexes `text` and registers the built-in backends: "alae", "bwt-sw",
-  // "blast", "sw", "basic" (plus aliases "bwtsw" and "smith-waterman").
+  // Indexes `text`.
   explicit AlignerRegistry(Sequence text, FmIndexOptions options = {});
 
   // Shares an already-built index (e.g. one loaded from disk).
@@ -40,27 +34,16 @@ class AlignerRegistry {
   const Sequence& text() const { return index_->text(); }
   const AlaeIndex& index() const { return *index_; }
 
-  // Builds the named backend, or kNotFound listing the known names.
+  // Builds the named backend — "alae", "bwt-sw", "blast", "sw", "basic",
+  // or the aliases "bwtsw" and "smith-waterman" — or kNotFound listing
+  // BuiltinNames().
   StatusOr<std::unique_ptr<Aligner>> Create(std::string_view name) const;
 
-  bool Has(std::string_view name) const;
-
-  // Canonical backend names, alphabetical, aliases excluded.
-  std::vector<std::string> Names() const;
-
-  // Adds (or replaces) a backend factory under `name`.
-  void Register(std::string name, Factory factory);
-
-  // The canonical built-in backend names.
+  // The canonical built-in backend names, alphabetical, aliases excluded.
   static const std::vector<std::string>& BuiltinNames();
 
  private:
-  void RegisterBuiltins();
-
   std::shared_ptr<const AlaeIndex> index_;
-  std::map<std::string, Factory, std::less<>> factories_;
-  // Alias -> canonical name (aliases resolve in Create but are not listed).
-  std::map<std::string, std::string, std::less<>> aliases_;
 };
 
 }  // namespace api

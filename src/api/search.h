@@ -8,6 +8,7 @@
 #include "src/align/counters.h"
 #include "src/align/result.h"
 #include "src/align/scoring.h"
+#include "src/api/status.h"
 #include "src/baseline/blast/blast.h"
 #include "src/core/config.h"
 #include "src/io/sequence.h"
@@ -117,7 +118,7 @@ struct EngineStats {
   uint64_t plan_compile_ns = 0;
   uint64_t plan_reuses = 0;
 
-  // Accumulates `o` into this (used by the multi-query driver).
+  // Accumulates `o` into this (the stream merger folds slice stats).
   void Merge(const EngineStats& o);
 };
 
@@ -125,6 +126,15 @@ struct EngineStats {
 struct SearchResponse {
   std::vector<AlignmentHit> hits;
   EngineStats stats;
+};
+
+// One query's outcome in a batch: `response` is meaningful iff
+// `status.ok()`. Unlike StatusOr this is default-constructible, so a batch
+// can fill a preallocated slot per query.
+struct QueryOutcome {
+  Status status;
+  SearchResponse response;
+  bool ok() const { return status.ok(); }
 };
 
 // Streaming consumer: receives hits in (text_end, query_end) order as the

@@ -27,12 +27,4 @@ void Sequence::Append(const Sequence& other) {
   symbols_.insert(symbols_.end(), other.symbols_.begin(), other.symbols_.end());
 }
 
-PackedDnaStore::PackedDnaStore(const std::vector<Symbol>& symbols)
-    : size_(symbols.size()) {
-  words_.assign((size_ + 31) / 32, 0);
-  for (size_t i = 0; i < size_; ++i) {
-    words_[i >> 5] |= static_cast<uint64_t>(symbols[i] & 3) << ((i & 31) * 2);
-  }
-}
-
 }  // namespace alae

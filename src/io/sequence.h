@@ -61,30 +61,10 @@ struct DocumentSpan {
   int64_t end = 0;
 
   int64_t length() const { return end - begin; }
-  bool Contains(int64_t pos) const { return pos >= begin && pos < end; }
 
   bool operator==(const DocumentSpan& o) const {
     return id == o.id && begin == o.begin && end == o.end;
   }
-};
-
-// 2-bit packed storage for DNA texts. The FM-index stores its BWT this way
-// when sigma <= 4, which is what makes the "BWT index" curve of Fig 11(a)
-// small (2 bits/char plus rank samples).
-class PackedDnaStore {
- public:
-  PackedDnaStore() = default;
-  explicit PackedDnaStore(const std::vector<Symbol>& symbols);
-
-  size_t size() const { return size_; }
-  Symbol Get(size_t i) const {
-    return static_cast<Symbol>((words_[i >> 5] >> ((i & 31) * 2)) & 3);
-  }
-  size_t SizeBytes() const { return words_.size() * sizeof(uint64_t); }
-
- private:
-  std::vector<uint64_t> words_;
-  size_t size_ = 0;
 };
 
 }  // namespace alae

@@ -29,9 +29,8 @@ api::Status SliceError(size_t slice, const api::Status& status) {
 // Fusion policy. The fused union-trie walk computes each distinct path's
 // fork DP once for every slice — less work than one engine run per slice,
 // even when a max_hits cap would stop some of those runs early; the
-// merger applies the cap to the published lanes. The walk needs the typed
-// ALAE plan (a custom backend registered as "alae" compiles something
-// else) and cannot host the single-index bitset filter.
+// merger applies the cap to the published lanes. The walk runs only ALAE
+// plans and cannot host the single-index bitset filter.
 bool UseFusedWalk(const api::QueryPlan& plan) {
   return dynamic_cast<const api::AlaePlan*>(&plan) != nullptr &&
          !plan.request().alae.bitset_global_filter;

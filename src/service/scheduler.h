@@ -140,8 +140,7 @@ class QueryScheduler {
   // execution mode share a pool task (a fused group is one task, a
   // per-slice group one task per slice), admitted in queue-sized waves.
   // Outcomes come back in input order, each with its own Status — one bad
-  // query never takes down its neighbours (same contract as
-  // MultiQueryDriver::RunEach).
+  // query never takes down its neighbours.
   std::vector<api::QueryOutcome> SearchBatch(
       std::string_view backend,
       const std::vector<api::SearchRequest>& requests);

@@ -65,7 +65,6 @@ TEST(AlignerRegistry, AllFiveBackendsConstructibleByName) {
     EXPECT_EQ((*aligner)->name(), name);
   }
   EXPECT_EQ(AlignerRegistry::BuiltinNames().size(), 5u);
-  EXPECT_EQ(registry.Names(), AlignerRegistry::BuiltinNames());
 }
 
 TEST(AlignerRegistry, AliasesResolve) {
@@ -87,23 +86,6 @@ TEST(AlignerRegistry, UnknownBackendIsNotFound) {
   EXPECT_EQ(aligner.status().code(), StatusCode::kNotFound);
   // The error teaches the caller the valid names.
   EXPECT_NE(aligner.status().message().find("alae"), std::string::npos);
-}
-
-TEST(AlignerRegistry, RuntimeRegistrationExtendsTheSet) {
-  SequenceGenerator gen(4);
-  AlignerRegistry registry(gen.Random(80, Alphabet::Dna()));
-  registry.Register("sw-clone",
-                    [](std::shared_ptr<const AlaeIndex> index) {
-                      return std::make_unique<SmithWatermanBackend>(
-                          std::move(index));
-                    });
-  ASSERT_TRUE(registry.Has("sw-clone"));
-  StatusOr<std::unique_ptr<Aligner>> aligner = registry.Create("sw-clone");
-  ASSERT_TRUE(aligner.ok());
-  SearchRequest request;
-  request.query = gen.Random(12, Alphabet::Dna());
-  request.threshold = 3;
-  EXPECT_TRUE((*aligner)->Search(request).ok());
 }
 
 // (a) Exactness: identical hit sets (end pairs AND scores) vs SW on shared
@@ -321,7 +303,8 @@ TEST(Conformance, BasicBackendEnforcesTextCap) {
   request.threshold = 10;
   EXPECT_EQ(basic->Search(request).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(basic->Prepare(request).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(basic->Compile(request).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

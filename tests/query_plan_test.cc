@@ -112,16 +112,15 @@ TEST(QueryPlan, RejectsBackendAndAlphabetMismatch) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(QueryPlan, PrepareIsCompileStatus) {
+TEST(QueryPlan, CompileStatusReportsValidity) {
   SequenceGenerator gen(25);
   Sequence text = gen.Random(700, Alphabet::Dna());
   AlignerRegistry registry(text);
   std::unique_ptr<api::Aligner> aligner = *registry.Create("alae");
   SearchRequest good = MakeRequest(gen.Random(24, Alphabet::Dna()), 12);
-  EXPECT_TRUE(aligner->Prepare(good).ok());
+  EXPECT_TRUE(aligner->Compile(good).status().ok());
   SearchRequest bad = good;
   bad.threshold = 0;
-  EXPECT_EQ(aligner->Prepare(bad).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(aligner->Compile(bad).status().code(),
             StatusCode::kInvalidArgument);
 }

@@ -41,22 +41,5 @@ TEST(Sequence, EmptySequence) {
   EXPECT_EQ(s.Substr(0, 5).size(), 0u);
 }
 
-TEST(PackedDnaStore, RoundTrip) {
-  Sequence s = Sequence::FromString("ACGTACGTTTGCA", Alphabet::Dna());
-  PackedDnaStore packed(s.symbols());
-  ASSERT_EQ(packed.size(), s.size());
-  for (size_t i = 0; i < s.size(); ++i) EXPECT_EQ(packed.Get(i), s[i]);
-  // 13 symbols fit one 64-bit word.
-  EXPECT_EQ(packed.SizeBytes(), sizeof(uint64_t));
-}
-
-TEST(PackedDnaStore, CrossesWordBoundaries) {
-  std::string text;
-  for (int i = 0; i < 100; ++i) text += "ACGT"[i % 4];
-  Sequence s = Sequence::FromString(text, Alphabet::Dna());
-  PackedDnaStore packed(s.symbols());
-  for (size_t i = 0; i < s.size(); ++i) EXPECT_EQ(packed.Get(i), s[i]);
-}
-
 }  // namespace
 }  // namespace alae

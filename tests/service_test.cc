@@ -45,7 +45,7 @@ std::vector<AlignmentHit> Unsharded(const api::AlignerRegistry& registry,
 
 // The headline differential: on randomized corpora, a sharded search must
 // return exactly the unsharded hit set — same end pairs, same scores — for
-// every registered backend (the heuristic BLAST included: it is compared
+// every built-in backend (the heuristic BLAST included: it is compared
 // against unsharded BLAST, exact engines against their own unsharded run).
 TEST(ShardedCorpus, ShardedEqualsUnshardedAllBackends) {
   for (uint64_t seed : {11u, 12u, 13u}) {
@@ -359,6 +359,49 @@ TEST(QuerySchedulerTest, SearchBatchKeepsPerQueryStatuses) {
               Unsharded(registry, "bwt-sw", requests[i]))
         << "query " << i;
   }
+  // An empty batch is answered with no outcomes.
+  EXPECT_TRUE(scheduler.SearchBatch("sw", {}).empty());
+}
+
+// A query that passes validation and then fails (here: its token is
+// already cancelled) reports its own status; the neighbours in its batch
+// — including the one sharing its micro-batch group — still answer in
+// full, on the fused ALAE path and on a per-slice backend alike.
+TEST(QuerySchedulerTest, SearchBatchFailureAfterValidationDoesNotMaskNeighbours) {
+  SequenceGenerator gen(416);
+  Sequence text = gen.Random(1'200, Alphabet::Dna());
+  ShardedCorpusOptions options;
+  options.shard_size = 500;
+  options.overlap = 150;
+  std::unique_ptr<ShardedCorpus> corpus = MustBuild(text, options);
+  api::AlignerRegistry registry(text);
+
+  CancelToken cancelled;
+  cancelled.Cancel();
+  std::vector<SearchRequest> requests;
+  for (int i = 0; i < 5; ++i) {
+    requests.push_back(
+        MakeRequest(gen.HomologousQuery(text, 36, 0.8, 0.1, 0.01), 16));
+  }
+  requests[2].cancel = &cancelled;
+  for (const char* backend : {"alae", "sw"}) {
+    QueryScheduler scheduler(*corpus, {.threads = 2, .batch_size = 2});
+    std::vector<api::QueryOutcome> outcomes =
+        scheduler.SearchBatch(backend, requests);
+    ASSERT_EQ(outcomes.size(), requests.size()) << backend;
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      if (i == 2) {
+        EXPECT_EQ(outcomes[i].status.code(), StatusCode::kCancelled)
+            << backend;
+        continue;
+      }
+      ASSERT_TRUE(outcomes[i].ok())
+          << backend << " " << i << ": " << outcomes[i].status.ToString();
+      EXPECT_EQ(outcomes[i].response.hits,
+                Unsharded(registry, backend, requests[i]))
+          << backend << " query " << i;
+    }
+  }
 }
 
 TEST(QuerySchedulerTest, MaxHitsTruncatesMergedAnswer) {
@@ -445,6 +488,15 @@ TEST(ThreadPoolTest, BoundedQueueAndBatchAdmission) {
   batch.emplace_back([] {});
   EXPECT_FALSE(pool.TrySubmitBatch(std::move(batch)));
   gate.unlock();
+}
+
+// threads <= 0 picks hardware concurrency, and still starts a worker
+// where std::thread::hardware_concurrency() reports 0.
+TEST(ThreadPoolTest, NonPositiveThreadsStartsAtLeastOneWorker) {
+  for (int threads : {0, -3}) {
+    ThreadPool pool(threads, 4);
+    EXPECT_GE(pool.threads(), 1) << threads;
+  }
 }
 
 }  // namespace
