@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/align/scoring.h"
 #include "src/align/simd_dp.h"
 #include "src/util/rng.h"
 #include "src/util/table_printer.h"

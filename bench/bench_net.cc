@@ -29,6 +29,7 @@
 #include "src/net/server.h"
 #include "src/obs/metrics.h"
 #include "src/service/service.h"
+#include "src/sim/workload.h"
 #include "src/util/table_printer.h"
 #include "src/util/timer.h"
 

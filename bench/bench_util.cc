@@ -4,12 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/baseline/blast/blast.h"
-#include "src/baseline/bwt_sw.h"
-#include "src/baseline/smith_waterman.h"
-#include "src/stats/karlin.h"
-#include "src/util/timer.h"
-
 namespace alae {
 namespace bench {
 
@@ -32,104 +26,6 @@ BenchFlags BenchFlags::Parse(int argc, char** argv) {
     else std::fprintf(stderr, "ignoring unknown flag: %s\n", arg);
   }
   return flags;
-}
-
-Workload MakeWorkload(int64_t n, int64_t m, int32_t queries,
-                      AlphabetKind alphabet, uint64_t seed, double divergence) {
-  WorkloadSpec spec;
-  spec.text_length = n;
-  spec.query_length = m;
-  spec.num_queries = queries;
-  spec.alphabet = alphabet;
-  spec.seed = seed;
-  spec.divergence = divergence;
-  return BuildWorkload(spec);
-}
-
-int32_t ThresholdFor(double evalue, int64_t m, int64_t n,
-                     const ScoringScheme& scheme, int sigma) {
-  return KarlinStats::EValueToThreshold(evalue, m, n, scheme, sigma);
-}
-
-EngineResult RunAligner(const api::Aligner& aligner, const Workload& w,
-                        api::SearchRequest base) {
-  EngineResult out;
-  Timer timer;
-  for (const Sequence& q : w.queries) {
-    base.query = q;
-    api::StatusOr<api::SearchResponse> response = aligner.Search(base);
-    if (!response.ok()) {
-      std::fprintf(stderr, "%s: %s\n", std::string(aligner.name()).c_str(),
-                   response.status().ToString().c_str());
-      std::exit(1);
-    }
-    out.hits += response->hits.size();
-    out.counters.Merge(response->stats.counters);
-  }
-  out.seconds = timer.ElapsedSeconds() / w.queries.size();
-  return out;
-}
-
-EngineResult RunAlae(const AlaeIndex& index, const Workload& w,
-                     const ScoringScheme& scheme, int32_t threshold,
-                     const AlaeConfig& config) {
-  EngineResult out;
-  Alae alae(index, config);
-  Timer timer;
-  for (const Sequence& q : w.queries) {
-    AlaeRunStats stats;
-    ResultCollector hits = alae.Run(q, scheme, threshold, &stats);
-    out.hits += hits.size();
-    out.counters.Merge(stats.counters);
-  }
-  out.seconds = timer.ElapsedSeconds() / w.queries.size();
-  return out;
-}
-
-EngineResult RunBwtSw(const FmIndex& rev_index, const Workload& w,
-                      const ScoringScheme& scheme, int32_t threshold) {
-  EngineResult out;
-  BwtSw engine(rev_index, static_cast<int64_t>(w.text.size()));
-  Timer timer;
-  for (const Sequence& q : w.queries) {
-    DpCounters counters;
-    ResultCollector hits = engine.Run(q, scheme, threshold, &counters);
-    out.hits += hits.size();
-    out.counters.Merge(counters);
-  }
-  out.seconds = timer.ElapsedSeconds() / w.queries.size();
-  return out;
-}
-
-EngineResult RunBlast(const Workload& w, const ScoringScheme& scheme,
-                      int32_t threshold) {
-  EngineResult out;
-  Timer timer;
-  for (const Sequence& q : w.queries) {
-    ResultCollector hits = Blast::Run(w.text, q, scheme, threshold);
-    out.hits += hits.size();
-  }
-  out.seconds = timer.ElapsedSeconds() / w.queries.size();
-  return out;
-}
-
-EngineResult RunSmithWaterman(const Workload& w, const ScoringScheme& scheme,
-                              int32_t threshold) {
-  EngineResult out;
-  Timer timer;
-  for (const Sequence& q : w.queries) {
-    ResultCollector hits = SmithWaterman::Run(w.text, q, scheme, threshold);
-    out.hits += hits.size();
-  }
-  out.seconds = timer.ElapsedSeconds() / w.queries.size();
-  return out;
-}
-
-std::string Mb(size_t bytes) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f MB",
-                static_cast<double>(bytes) / (1024.0 * 1024.0));
-  return buf;
 }
 
 void JsonReport::Add(std::string name, double ns_per_op,

@@ -5,17 +5,10 @@
 #include <string>
 #include <vector>
 
-#include "src/align/counters.h"
-#include "src/align/result.h"
-#include "src/align/scoring.h"
-#include "src/api/api.h"
-#include "src/core/alae.h"
-#include "src/sim/workload.h"
-
 namespace alae {
 namespace bench {
 
-// Minimal --key=value flag parsing shared by the table/figure harnesses.
+// Minimal --key=value flag parsing shared by the benchmark harnesses.
 // Recognised keys: n, m, queries, evalue, seed, scale (a multiplier applied
 // to every size so `--scale=4` runs the whole sweep at 4x), and json (a
 // path — `--json=out.json` or `--json out.json` — where harnesses that
@@ -39,43 +32,6 @@ struct BenchFlags {
   }
   int32_t Q(int32_t fallback) const { return queries > 0 ? queries : fallback; }
 };
-
-// One engine run: wall time plus counters, averaged over the workload's
-// queries (the paper reports per-workload averages, §7.1).
-struct EngineResult {
-  double seconds = 0;
-  uint64_t hits = 0;
-  DpCounters counters;
-};
-
-// Builds the standard homologous-query workload of DESIGN.md §4.
-Workload MakeWorkload(int64_t n, int64_t m, int32_t queries,
-                      AlphabetKind alphabet = AlphabetKind::kDna,
-                      uint64_t seed = 42, double divergence = 0.30);
-
-// Threshold from the paper's E-value conversion (§7).
-int32_t ThresholdFor(double evalue, int64_t m, int64_t n,
-                     const ScoringScheme& scheme, int sigma);
-
-// Facade driver: runs any api::Aligner over every query of the workload
-// through the unified SearchRequest path (`base.query` is overwritten per
-// query), aggregating hits and counters like the engine drivers below.
-EngineResult RunAligner(const api::Aligner& aligner, const Workload& w,
-                        api::SearchRequest base);
-
-// Engine drivers. Each aggregates across all queries of the workload.
-EngineResult RunAlae(const AlaeIndex& index, const Workload& w,
-                     const ScoringScheme& scheme, int32_t threshold,
-                     const AlaeConfig& config = {});
-EngineResult RunBwtSw(const FmIndex& rev_index, const Workload& w,
-                      const ScoringScheme& scheme, int32_t threshold);
-EngineResult RunBlast(const Workload& w, const ScoringScheme& scheme,
-                      int32_t threshold);
-EngineResult RunSmithWaterman(const Workload& w, const ScoringScheme& scheme,
-                              int32_t threshold);
-
-// Human-readable byte count (MB with two decimals).
-std::string Mb(size_t bytes);
 
 // Machine-readable benchmark report: one entry per benchmark, written as a
 // JSON array of {"name", "ns_per_op", "extends_per_sec"} objects so CI can

@@ -43,6 +43,7 @@ AlaeIndex::Sizes AlaeIndex::SizeBytes() const {
   FmIndex::Sizes fm_sizes = fm_.SizeBytes();
   sizes.bwt_bytes = fm_sizes.bwt_bytes;
   sizes.sample_bytes = fm_sizes.sample_bytes;
+  std::lock_guard<std::mutex> lock(domination_mu_);
   for (const auto& [q, dom] : domination_) {
     (void)q;
     sizes.domination_bytes += dom->SizeBytes();

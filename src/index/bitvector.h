@@ -39,8 +39,7 @@ class BitVector {
 
 // Immutable bitvector with O(1) rank support (one absolute 64-bit count per
 // 512-bit superblock plus per-64-bit-word byte offsets). ~1.31 bits per bit.
-// This is the building block of the wavelet tree (the "compressed suffix
-// array" occ structure option, paper §2.3/§5).
+// The FM-index marks its sampled suffix-array rows with one.
 class RankBitVector {
  public:
   RankBitVector() = default;

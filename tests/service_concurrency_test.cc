@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -154,6 +155,55 @@ TEST(ServiceConcurrency, OverloadShedsWithResourceExhausted) {
 
   EXPECT_EQ(errors.load(), 0);
   EXPECT_GT(served.load(), 0) << "overload must not starve everyone";
+}
+
+// Index-size probes read each shard's lazily filled domination-index map
+// while first-time ALAE compiles insert into it (one entry per prefix
+// length q), so the probe must take the map's lock.
+TEST(ServiceConcurrency, IndexBytesRacesFirstTimeCompiles) {
+  WorkloadSpec spec;
+  spec.text_length = 3'000;
+  spec.query_length = 40;
+  spec.num_queries = 1;
+  spec.seed = 7;
+  Workload w = BuildWorkload(spec);
+  ShardedCorpusOptions options;
+  options.shard_size = 700;
+  options.overlap = 170;
+  auto corpus = ShardedCorpus::Build(w.text, options);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  QueryScheduler scheduler(**corpus, {.threads = 4, .cache_capacity = 0});
+  const size_t before = (*corpus)->IndexBytes();
+
+  // The probe's result is used so the compiler cannot drop the call.
+  std::atomic<bool> done{false};
+  size_t largest_probe = 0;
+  std::thread prober([&] {
+    while (!done.load()) {
+      largest_probe = std::max(largest_probe, (*corpus)->IndexBytes());
+    }
+  });
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int32_t sb = 1; sb <= 6; ++sb) {
+    // q = min(|sb|, |sg + ss|) / sa + 1, so every client's scheme needs a
+    // domination index for a q no other client uses: q = 2..7.
+    clients.emplace_back([&, sb] {
+      SearchRequest request;
+      request.query = w.queries[0];
+      request.scheme = ScoringScheme{1, -sb, -7, -2};
+      request.threshold = 16;
+      if (!scheduler.Search("alae", request).ok()) ++failures;
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  done = true;
+  prober.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  const size_t after = (*corpus)->IndexBytes();
+  EXPECT_GT(after, before) << "the new domination indexes are not counted";
+  EXPECT_LE(largest_probe, after);
 }
 
 }  // namespace
