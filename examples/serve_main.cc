@@ -17,11 +17,11 @@
 // before.
 //
 //   # build a random 2 Mb DNA corpus, save it, serve 200 sampled queries
-//   serve_main --corpus=/tmp/corpus --random-text=2000000 \
-//              --backend=alae --threads=4
+//   # with the default ALAE backend
+//   serve_main --corpus=/tmp/corpus --random-text=2000000 --threads=4
 //
 //   # mutate while serving, then persist the mutated corpus
-//   printf 'ACGT...\n#append ACGT...\nACGT...\n#compact\n' | \
+//   printf 'ACGT...\n#append ACGT...\nACGT...\n#compact\n' |
 //     serve_main --corpus=/tmp/corpus --queries=- --resave=1
 //
 // Exits non-zero on any setup failure; per-query failures are reported and

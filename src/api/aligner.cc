@@ -68,27 +68,17 @@ Status Aligner::Search(const QueryPlan& plan, const HitSink& sink,
   // Cancellation conversion happens here, once, for every backend: the
   // engines merely stop when the token fires; this layer turns "token
   // fired" into kCancelled / kDeadlineExceeded / a flagged partial.
-  const CancelToken* cancel = plan.request().cancel;
-  const bool allow_partial = plan.request().allow_partial;
-  if (cancel != nullptr) {
-    // Fast-fail: an already-expired request never touches the engine.
-    switch (cancel->ExpiredWhy()) {
-      case CancelToken::Why::kCancelled:
-        return Status::Cancelled("request cancelled before execution");
-      case CancelToken::Why::kDeadline:
-        if (!allow_partial) {
-          return Status::DeadlineExceeded("deadline expired before execution");
-        }
-        if (stats != nullptr) {
-          *stats = EngineStats{};
-          stats->plan_reuses = 1;
-          stats->truncated = true;
-          stats->truncated_by_deadline = true;
-        }
-        return Status::Ok();
-      case CancelToken::Why::kNone:
-        break;
+  // Fast-fail: an already-expired request never touches the engine.
+  bool partial = false;
+  if (Status status = TokenStatus(plan.request(), "before execution", &partial);
+      !status.ok() || partial) {
+    if (partial && stats != nullptr) {
+      *stats = EngineStats{};
+      stats->plan_reuses = 1;
+      stats->truncated = true;
+      stats->truncated_by_deadline = true;
     }
+    return status;
   }
 
   Timer timer;
@@ -107,25 +97,16 @@ Status Aligner::Search(const QueryPlan& plan, const HitSink& sink,
   };
   Status status = SearchImpl(plan, wrapped, &local);
   local.truncated = stopped;
-  if (status.ok() && cancel != nullptr) {
+  if (status.ok()) {
     // Post-check: the engine may have bailed mid-run with an Ok status
     // (cooperative abort looks like early completion from the inside).
     // Conservative by design — a run that finished just as the deadline
     // expired is still reported as truncated/expired.
-    switch (cancel->ExpiredWhy()) {
-      case CancelToken::Why::kCancelled:
-        status = Status::Cancelled("request cancelled during execution");
-        break;
-      case CancelToken::Why::kDeadline:
-        if (allow_partial) {
-          local.truncated = true;
-          local.truncated_by_deadline = true;
-        } else {
-          status = Status::DeadlineExceeded("deadline expired mid-search");
-        }
-        break;
-      case CancelToken::Why::kNone:
-        break;
+    status = TokenStatus(plan.request(), "during execution", &partial,
+                         "mid-search");
+    if (partial) {
+      local.truncated = true;
+      local.truncated_by_deadline = true;
     }
   }
   local.seconds = timer.ElapsedSeconds();

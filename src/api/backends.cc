@@ -16,12 +16,15 @@ namespace {
 
 // Plans cross aligner instances of one backend (the sharded service
 // compiles on shard 0 and executes everywhere), so execution re-derives
-// the typed plan by downcast. A base-class plan with the right backend
-// name can only come from a QueryPlan constructed directly rather than
-// compiled; compiling locally keeps that case correct.
+// the typed plan by downcast. Aligner::Search has already matched the
+// backend name, so a miss is a QueryPlan constructed directly rather than
+// compiled: refused, never recompiled.
 template <typename Plan>
-const Plan* Typed(const QueryPlan& plan) {
-  return dynamic_cast<const Plan*>(&plan);
+StatusOr<const Plan*> Typed(const QueryPlan& plan) {
+  if (const Plan* typed = dynamic_cast<const Plan*>(&plan)) return typed;
+  return Status::InvalidArgument("plan for backend '" +
+                                 std::string(plan.backend()) +
+                                 "' was not built by Aligner::Compile");
 }
 
 }  // namespace
@@ -44,16 +47,12 @@ StatusOr<std::unique_ptr<QueryPlan>> AlaeBackend::CompileImpl(
 
 Status AlaeBackend::SearchImpl(const QueryPlan& plan, const HitSink& sink,
                                EngineStats* stats) const {
-  const AlaePlan* compiled = Typed<AlaePlan>(plan);
-  std::unique_ptr<AlaePlan> local;
-  if (compiled == nullptr) {
-    local = std::make_unique<AlaePlan>(name(), plan.request());
-    compiled = local.get();
-  }
+  StatusOr<const AlaePlan*> compiled = Typed<AlaePlan>(plan);
+  if (!compiled.ok()) return compiled.status();
   Alae engine(*index_, plan.request().alae);
   AlaeRunStats run;
   ResultCollector hits =
-      engine.Run(compiled->core(), &run, plan.request().cancel);
+      engine.Run((*compiled)->core(), &run, plan.request().cancel);
   stats->counters = run.counters;
   stats->anchors_considered = run.anchors_considered;
   stats->grams_searched = run.grams_searched;
@@ -78,11 +77,11 @@ StatusOr<std::unique_ptr<QueryPlan>> BwtSwBackend::CompileImpl(
 
 Status BwtSwBackend::SearchImpl(const QueryPlan& plan, const HitSink& sink,
                                 EngineStats* stats) const {
-  const BwtSwPlan* compiled = Typed<BwtSwPlan>(plan);
+  StatusOr<const BwtSwPlan*> compiled = Typed<BwtSwPlan>(plan);
+  if (!compiled.ok()) return compiled.status();
   ResultCollector hits = engine_.Run(
       plan.request().query, plan.request().scheme, plan.request().threshold,
-      &stats->counters, compiled != nullptr ? &compiled->profile() : nullptr,
-      plan.request().cancel);
+      &stats->counters, &(*compiled)->profile(), plan.request().cancel);
   Drain(hits, sink);
   return Status::Ok();
 }
@@ -111,12 +110,13 @@ StatusOr<std::unique_ptr<QueryPlan>> BlastBackend::CompileImpl(
 
 Status BlastBackend::SearchImpl(const QueryPlan& plan, const HitSink& sink,
                                 EngineStats* stats) const {
-  const BlastPlan* compiled = Typed<BlastPlan>(plan);
+  StatusOr<const BlastPlan*> compiled = Typed<BlastPlan>(plan);
+  if (!compiled.ok()) return compiled.status();
   BlastRunStats run;
   ResultCollector hits = Blast::Run(
       index_->text(), plan.request().query, plan.request().scheme,
       plan.request().threshold, plan.request().blast, &run,
-      compiled != nullptr ? compiled->seeder() : nullptr);
+      (*compiled)->seeder());
   stats->seeds = run.seeds;
   stats->ungapped_extensions = run.ungapped_extensions;
   stats->gapped_extensions = run.gapped_extensions;
@@ -145,7 +145,8 @@ StatusOr<std::unique_ptr<QueryPlan>> SmithWatermanBackend::CompileImpl(
 Status SmithWatermanBackend::SearchImpl(const QueryPlan& plan,
                                         const HitSink& sink,
                                         EngineStats* stats) const {
-  const SwPlan* compiled = Typed<SwPlan>(plan);
+  StatusOr<const SwPlan*> compiled = Typed<SwPlan>(plan);
+  if (!compiled.ok()) return compiled.status();
   // SW computes each (i, j) cell exactly once and row order matches the
   // sink's ordering contract, so this backend streams with no collector;
   // Stream returns the cells actually computed (less than n*m when the
@@ -156,8 +157,7 @@ Status SmithWatermanBackend::SearchImpl(const QueryPlan& plan,
       [&](int64_t text_end, int64_t query_end, int32_t score) {
         return sink({text_end, query_end, score, -1});
       },
-      compiled != nullptr ? &compiled->profile() : nullptr,
-      plan.request().cancel);
+      &(*compiled)->profile(), plan.request().cancel);
   return Status::Ok();
 }
 

@@ -28,8 +28,7 @@ std::string QueryPlan::Fingerprint(std::string_view backend,
                                  (request.alae.score_filter << 1) |
                                  (request.alae.prefix_filter << 2) |
                                  (request.alae.domination_filter << 3) |
-                                 (request.alae.bitset_global_filter << 4) |
-                                 (request.alae.reuse << 5)));
+                                 (request.alae.reuse << 4)));
   AppendRaw(&key, request.blast.word_size);
   AppendRaw(&key, static_cast<uint8_t>(request.blast.two_hit));
   AppendRaw(&key, request.blast.x_drop_ungapped);

@@ -1,9 +1,30 @@
 #include "src/api/search.h"
 
 #include <algorithm>
+#include <string>
 
 namespace alae {
 namespace api {
+
+Status TokenStatus(const SearchRequest& request, std::string_view when,
+                   bool* partial, std::string_view deadline_when) {
+  if (request.cancel == nullptr) return Status::Ok();
+  switch (request.cancel->ExpiredWhy()) {
+    case CancelToken::Why::kCancelled:
+      return Status::Cancelled("request cancelled " + std::string(when));
+    case CancelToken::Why::kDeadline:
+      if (!request.allow_partial) {
+        return Status::DeadlineExceeded(
+            "deadline expired " +
+            std::string(deadline_when.empty() ? when : deadline_when));
+      }
+      *partial = true;
+      break;
+    case CancelToken::Why::kNone:
+      break;
+  }
+  return Status::Ok();
+}
 
 void EngineStats::Merge(const EngineStats& o) {
   seconds += o.seconds;

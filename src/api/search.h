@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <vector>
 
 #include "src/align/counters.h"
@@ -54,6 +55,15 @@ struct SearchRequest {
   // fingerprints or cache keys.
   obs::Trace* trace = nullptr;
 };
+
+// The token-to-status conversion every execution path applies, once
+// before it runs the engines and once after they stop: kCancelled
+// ("request cancelled <when>"), kDeadlineExceeded ("deadline expired
+// <deadline_when>", which defaults to `when`), or — when the deadline
+// expired and the request allows partial results — Ok with *partial set.
+// Ok, with *partial untouched, while the request's token has not fired.
+Status TokenStatus(const SearchRequest& request, std::string_view when,
+                   bool* partial, std::string_view deadline_when = {});
 
 // Instrumentation merged across all backends: wall time and emission info
 // always; DpCounters for the exact engines (paper Tables 4-5); the ALAE and

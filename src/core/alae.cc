@@ -8,7 +8,6 @@
 #include "src/align/dp.h"
 #include "src/align/simd_dp.h"
 #include "src/core/fork.h"
-#include "src/core/global_filter.h"
 #include "src/core/reuse.h"
 
 namespace alae {
@@ -186,9 +185,7 @@ class Alae::Engine {
   const FmIndex::RankCursor& cur(size_t lane) const { return cursors_[lane]; }
 
   void ProcessGram(size_t run);
-  bool AnchorSurvivesGlobalFilters(const Symbol* gram,
-                                   const std::vector<int64_t>& starts,
-                                   int32_t anchor);
+  bool AnchorSurvivesDomination(const Symbol* gram, int32_t anchor);
 
   ForkState OpenGapRegion(int32_t anchor, int64_t row, int32_t fgoe_score);
 
@@ -225,16 +222,11 @@ class Alae::Engine {
     return nullptr;
   }
 
-  void NoteCell(int64_t row, int32_t col, int32_t score) {
+  void NoteCell(int32_t col, int32_t score) {
     if (score >= threshold_) pending_hits_.push_back({col, score});
-    if (bitset_ != nullptr && score >= scheme_.sa) {
-      bitset_pending_.push_back({col, score});
-    }
-    (void)row;
   }
 
-  // Flushes pending hits/bitset updates for a node covering `range` whose
-  // paths end at depth `depth`.
+  // Flushes pending hits for a node whose paths end at depth `depth`.
   void FlushNode(Frame* frame, int64_t depth);
 
   // Cooperative cancellation: ticked per trie node and per DP-row cell
@@ -262,8 +254,6 @@ class Alae::Engine {
   const LcpIndex* query_lcp_;
   RowReuseGroup reuse_group_;
   std::vector<const DominationIndex*> domination_;  // per lane, maybe empty
-  std::unique_ptr<BitsetGlobalFilter> bitset_owned_;
-  BitsetGlobalFilter* bitset_ = nullptr;
 
   std::vector<ResultCollector> results_;  // one per lane
   DpCounters counters_;
@@ -271,7 +261,6 @@ class Alae::Engine {
   uint64_t grams_searched_ = 0;
 
   std::vector<PendingHit> pending_hits_;
-  std::vector<PendingHit> bitset_pending_;
 
   // Buffers for the one-cell-shifted diagonal view of the previous row —
   // one per in-flight GapStep, so a pending pair cannot alias.
@@ -313,13 +302,6 @@ class Alae::Engine {
 
 void Alae::Engine::Run(std::vector<ResultCollector>* results,
                        AlaeRunStats* stats) {
-  // The quadratic bitset filter records lane-local coordinates, so it only
-  // applies to single-index runs (it is a test/ablation feature; skipping
-  // it never changes results, only the amount of pruned work).
-  if (config_.bitset_global_filter && lanes() == 1) {
-    bitset_owned_ = std::make_unique<BitsetGlobalFilter>();
-    bitset_ = bitset_owned_.get();
-  }
   const int32_t q = filters_.q();
   bool any_lane = false;
   for (int64_t n : n_) any_lane = any_lane || n >= q;
@@ -405,41 +387,22 @@ void Alae::Engine::Run(std::vector<ResultCollector>* results,
   *results = std::move(results_);
 }
 
-bool Alae::Engine::AnchorSurvivesGlobalFilters(
-    const Symbol* gram, const std::vector<int64_t>& starts, int32_t anchor) {
-  if (!domination_.empty() && anchor >= 1) {
-    // A fork may be skipped only when every lane's text dominates it —
-    // a lane where the gram is not dominated still needs the fork's rows.
-    // Skipping is a work-pruning choice, never a correctness one: the
-    // dominating fork reproduces the skipped fork's hits.
-    bool all_dominated = true;
-    for (const DominationIndex* dom : domination_) {
-      Symbol predecessor = 0;
-      if (!(dom->IsDominated(gram, &predecessor) &&
-            query_[static_cast<size_t>(anchor - 1)] == predecessor)) {
-        all_dominated = false;
-        break;
-      }
-    }
-    if (all_dominated) {
-      ++counters_.forks_skipped_domination;
-      return false;
+bool Alae::Engine::AnchorSurvivesDomination(const Symbol* gram,
+                                            int32_t anchor) {
+  if (domination_.empty() || anchor < 1) return true;
+  // A fork may be skipped only when every lane's text dominates it — a
+  // lane where the gram is not dominated still needs the fork's rows.
+  // Skipping is a work-pruning choice, never a correctness one: the
+  // dominating fork reproduces the skipped fork's hits.
+  for (const DominationIndex* dom : domination_) {
+    Symbol predecessor = 0;
+    if (!(dom->IsDominated(gram, &predecessor) &&
+          query_[static_cast<size_t>(anchor - 1)] == predecessor)) {
+      return true;
     }
   }
-  if (bitset_ != nullptr && !starts.empty()) {
-    bool all_set = true;
-    for (int64_t t : starts) {
-      if (!bitset_->Test(t, anchor)) {
-        all_set = false;
-        break;
-      }
-    }
-    if (all_set) {
-      ++counters_.forks_skipped_bitset;
-      return false;
-    }
-  }
-  return true;
+  ++counters_.forks_skipped_domination;
+  return false;
 }
 
 void Alae::Engine::ProcessGram(size_t run) {
@@ -462,22 +425,11 @@ void Alae::Engine::ProcessGram(size_t run) {
   }
   if (root.lanes.empty()) return;
 
-  // Text start positions are needed by the bitset filter only (single
-  // lane by construction; see Run).
-  std::vector<int64_t> starts;
-  if (bitset_ != nullptr) {
-    starts = fm(0).Locate(root.ranges[0], &counters_.fm_lf_steps,
-                          scan_.token());
-    // p is a start in reverse(T) of (gram)^-1; the gram starts in T at
-    // n - p - q.
-    for (int64_t& p : starts) p = n_[0] - p - q;
-  }
-
   std::vector<DiagFork> root_forks;
   root_forks.reserve(anchors.size());
   for (int32_t anchor : anchors) {
     ++anchors_considered_;
-    if (!AnchorSurvivesGlobalFilters(gram, starts, anchor)) continue;
+    if (!AnchorSurvivesDomination(gram, anchor)) continue;
     root_forks.push_back({anchor, scheme_.sa * q, -1, 0});
     ++counters_.forks_opened;
   }
@@ -504,18 +456,17 @@ void Alae::Engine::ProcessGram(size_t run) {
       static_cast<uint64_t>(q) * root_forks.size();  // EMR cells
 
   // Root-level bookkeeping: EMR scores can already be results when
-  // q == ceil(H/sa), and in bitset mode all EMR cells carry score >= sa.
+  // q == ceil(H/sa).
   root.diag = std::move(root_forks);
   pending_hits_.clear();
-  bitset_pending_.clear();
   for (const DiagFork& fork : root.diag) {
     for (int32_t i = 1; i <= q; ++i) {
-      NoteCell(i, fork.anchor + i - 1, scheme_.sa * i);
+      NoteCell(fork.anchor + i - 1, scheme_.sa * i);
     }
   }
   // EMR hits end at depth-relative rows; FlushNode records end positions
   // for the node's full depth q, so translate per-row hits here instead.
-  if (!pending_hits_.empty() || !bitset_pending_.empty()) {
+  if (!pending_hits_.empty()) {
     for (size_t i_lane = 0; i_lane < root.lanes.size(); ++i_lane) {
       const size_t l = root.lanes[i_lane];
       std::vector<int64_t> ends = fm(l).Locate(
@@ -532,15 +483,8 @@ void Alae::Engine::ProcessGram(size_t run) {
                           end - (q - i) - i + 1);
         }
       }
-      if (bitset_ != nullptr) {
-        for (const PendingHit& hit : bitset_pending_) {
-          int32_t i = hit.score / scheme_.sa;
-          for (int64_t end : ends) bitset_->Set(end - (q - i), hit.col);
-        }
-      }
     }
     pending_hits_.clear();
-    bitset_pending_.clear();
   }
 
   // Iterative DFS over the subtree (the union of the lanes' subtrees: a
@@ -677,7 +621,6 @@ void Alae::Engine::ProcessGram(size_t run) {
     // FGOE transitions append new gap regions; within each category anchor
     // order guarantees reuse sources are updated before dependants.
     pending_hits_.clear();
-    bitset_pending_.clear();
     reuse_group_.NewRow();
     Frame& child = dfs_stack_[level];
     ResetFrame(&child);
@@ -760,7 +703,7 @@ void Alae::Engine::ProcessGram(size_t run) {
         ++counters_.cells_cost1;  // Simplified recurrence, Eq. 3.
         if (score <= filters_.Bound(depth, col)) continue;
       }
-      NoteCell(depth, static_cast<int32_t>(col), score);
+      NoteCell(static_cast<int32_t>(col), score);
       if (score > fgoe_threshold) {
         child.gap.push_back(OpenGapRegion(fork.anchor, depth, score));
       } else {
@@ -779,7 +722,7 @@ void Alae::Engine::ProcessGram(size_t run) {
 }
 
 void Alae::Engine::FlushNode(Frame* frame, int64_t depth) {
-  if (pending_hits_.empty() && bitset_pending_.empty()) return;
+  if (pending_hits_.empty()) return;
   if (!frame->located) {
     frame->ends.resize(frame->lanes.size());
     for (size_t i = 0; i < frame->lanes.size(); ++i) {
@@ -806,16 +749,7 @@ void Alae::Engine::FlushNode(Frame* frame, int64_t depth) {
       out.Add(end, hit.col, hit.score, end - depth + 1);
     }
   }
-  if (bitset_ != nullptr) {
-    for (const PendingHit& hit : bitset_pending_) {
-      if (!frame->ends.empty()) {
-        for (int64_t end : frame->ends[0]) bitset_->Set(end, hit.col);
-      }
-      for (int64_t end : frame->pos_vals) bitset_->Set(end, hit.col);
-    }
-  }
   pending_hits_.clear();
-  bitset_pending_.clear();
 }
 
 ForkState Alae::Engine::OpenGapRegion(int32_t anchor, int64_t row,
@@ -850,7 +784,7 @@ ForkState Alae::Engine::OpenGapRegion(int32_t anchor, int64_t row,
     int32_t bound = col <= col_cut ? row_bound : filters_.Bound(row, col);
     if (gb <= bound) break;
     next.cells.PushCell(gb, kNegInf, gb);
-    NoteCell(row, static_cast<int32_t>(col), gb);
+    NoteCell(static_cast<int32_t>(col), gb);
   }
   return next;
 }
@@ -992,7 +926,7 @@ ForkState Alae::Engine::FinishGapRow(GapStep* step, int64_t row) {
       int64_t col = next.fgoe_col + d;
       if (mv != kNegInf && col < m_) {
         any_alive = true;
-        NoteCell(row, static_cast<int32_t>(col), mv);
+        NoteCell(static_cast<int32_t>(col), mv);
       }
     }
   }
@@ -1019,7 +953,7 @@ ForkState Alae::Engine::FinishGapRow(GapStep* step, int64_t row) {
       for (int64_t k = stats.first_alive; k <= stats.last_alive; ++k) {
         int32_t mv = spec.out_m[k];
         if (mv != kNegInf) {
-          NoteCell(row, static_cast<int32_t>(next.fgoe_col + start + k), mv);
+          NoteCell(static_cast<int32_t>(next.fgoe_col + start + k), mv);
         }
       }
     }
@@ -1040,7 +974,7 @@ ForkState Alae::Engine::FinishGapRow(GapStep* step, int64_t row) {
     int32_t bound = bound_at(col);
     ++counters_.cells_cost3;
     if (mu > bound) {
-      NoteCell(row, static_cast<int32_t>(col), mu);
+      NoteCell(static_cast<int32_t>(col), mu);
       any_alive = true;
       next.cells.PushCell(mu, kNegInf, std::max(gb, kNegInf));
     } else {
@@ -1060,7 +994,7 @@ ForkState Alae::Engine::FinishGapRow(GapStep* step, int64_t row) {
     int32_t gb = std::max(chain_gb + ss, chain_mu + open_ext);
     if (gb <= bound_at(col)) break;
     ++counters_.cells_cost3;
-    NoteCell(row, static_cast<int32_t>(col), gb);
+    NoteCell(static_cast<int32_t>(col), gb);
     any_alive = true;
     next.cells.PushCell(gb, kNegInf, gb);
     chain_gb = gb;

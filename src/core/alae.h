@@ -132,8 +132,8 @@ class AlaeQueryPlan {
 // regions opened at FGOEs run the full affine recurrence over a column
 // interval pruned by the score filter (Theorem 2) and capped by the length
 // filter (Theorem 1). Forks dominated by the preceding query column are
-// skipped entirely (§3.2.2), or — in bitset mode — skipped via the online
-// G matrix (Theorem 4). Gap-region rows are copied between forks whose
+// skipped entirely (§3.2.2's domination index, which stands in for §3.2.1's
+// n*m-bit global filter). Gap-region rows are copied between forks whose
 // FGOEs share a row and whose query suffixes share a prefix (§4).
 //
 // Results are identical to Smith-Waterman / BWT-SW: every end pair (i, j)
@@ -167,10 +167,9 @@ class Alae {
   //
   // (*results)[i] receives index i's hit set, exactly what Run against
   // that index alone reports (the domination filter degrades to skipping
-  // only anchors dominated in every index, and the quadratic bitset
-  // global filter — a test/ablation feature — is ignored; both are
-  // work-pruning heuristics whose results the dedup-by-max collector
-  // makes identical either way). `stats` are totals over the fused walk.
+  // only anchors dominated in every index — a work-pruning choice whose
+  // results the dedup-by-max collector makes identical either way).
+  // `stats` are totals over the fused walk.
   static void RunSharded(const AlaeQueryPlan& plan,
                          const std::vector<const AlaeIndex*>& indexes,
                          std::vector<ResultCollector>* results,

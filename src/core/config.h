@@ -26,12 +26,9 @@ struct AlaeConfig {
   bool prefix_filter = true;
 
   // §3.2.2: skip forks whose q-gram is q-dominated by the preceding query
-  // column's q-gram.
+  // column's q-gram. This is the engine's only global filter: the §3.2.1
+  // boolean matrix G it replaces needs n*m bits and is not implemented.
   bool domination_filter = true;
-
-  // §3.2.1 / Theorem 4: online boolean matrix G. Quadratic bookkeeping —
-  // intended for small inputs (tests, ablation), not production runs.
-  bool bitset_global_filter = false;
 
   // §4: copy gap-region scores between forks with a common query prefix.
   bool reuse = true;

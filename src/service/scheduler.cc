@@ -26,39 +26,6 @@ api::Status SliceError(size_t slice, const api::Status& status) {
                          status.message());
 }
 
-// Fusion policy. The fused union-trie walk computes each distinct path's
-// fork DP once for every slice — less work than one engine run per slice,
-// even when a max_hits cap would stop some of those runs early; the
-// merger applies the cap to the published lanes. The walk runs only ALAE
-// plans and cannot host the single-index bitset filter.
-bool UseFusedWalk(const api::QueryPlan& plan) {
-  return dynamic_cast<const api::AlaePlan*>(&plan) != nullptr &&
-         !plan.request().alae.bitset_global_filter;
-}
-
-// The token-to-status conversion Aligner::Search performs, for the
-// admission check and the fused walk, which bypasses that layer:
-// kCancelled / kDeadlineExceeded, or — with allow_partial — Ok with
-// *partial set. `when` completes the message ("before admission", ...).
-api::Status TokenStatus(const api::SearchRequest& request, const char* when,
-                        bool* partial) {
-  if (request.cancel == nullptr) return api::Status::Ok();
-  switch (request.cancel->ExpiredWhy()) {
-    case CancelToken::Why::kCancelled:
-      return api::Status::Cancelled(std::string("request cancelled ") + when);
-    case CancelToken::Why::kDeadline:
-      if (!request.allow_partial) {
-        return api::Status::DeadlineExceeded(std::string("deadline expired ") +
-                                             when);
-      }
-      *partial = true;
-      break;
-    case CancelToken::Why::kNone:
-      break;
-  }
-  return api::Status::Ok();
-}
-
 // Why the pool refused `tasks` more tasks: a shutdown closes admission,
 // and that is reported truthfully rather than as transient overload
 // someone might retry against.
@@ -102,19 +69,12 @@ struct QueryScheduler::Query {
   CancelToken cap;
   StreamMerger merger;
   std::unique_ptr<api::QueryPlan> plan;
-  bool fused = false;
   api::Status error;  // the first failure; running tasks set it under Call::mu
 };
 
 // One call from Start to Close, shared by its start, its pool tasks and its
 // epilogue: on Run's stack, or on the heap for StartStream.
 struct QueryScheduler::Call {
-  // Micro-batching unit: consecutive queries of one execution mode whose
-  // tasks run the whole group (one task if fused, one per slice if not).
-  struct Group {
-    size_t begin, end, tasks;
-  };
-
   std::string_view backend;
   std::span<const api::SearchRequest> requests;
   api::HitSink sink;  // empty: collect only
@@ -136,8 +96,13 @@ struct QueryScheduler::Call {
   // reading the slices (and indexes) the snapshot pinned.
   CorpusView view;
   std::vector<const api::Aligner*> aligners;
+  // Fusion policy, fixed per call by the resolved backend: an ALAE call
+  // runs each query as one fused union-trie walk over every slice (less
+  // work than one engine run per slice, even when a max_hits cap would
+  // stop some of those runs early; the merger applies the cap to the
+  // published lanes). Every other backend runs one task per slice.
+  bool fused = false;
   std::deque<Query> queries;
-  std::vector<Group> groups;
   size_t next_group = 0;           // first group no wave has taken yet
   std::atomic<size_t> pending{0};  // unfinished tasks of the current wave
   // Queue-wait accounting for traced queries: stamped just before a wave
@@ -394,7 +359,8 @@ api::Status QueryScheduler::RunFused(const Call& call, Query* q) {
   api::EngineStats walk;
   bool partial = false;
   if (!indexes.empty()) {
-    if (api::Status status = TokenStatus(request, "before execution", &partial);
+    if (api::Status status =
+            api::TokenStatus(request, "before execution", &partial);
         !status.ok()) {
       return status;
     }
@@ -406,7 +372,7 @@ api::Status QueryScheduler::RunFused(const Call& call, Query* q) {
       Alae::RunSharded(static_cast<const api::AlaePlan&>(plan).core(), indexes,
                        &lanes, &run, request.cancel);
       if (api::Status status =
-              TokenStatus(request, "during execution", &partial);
+              api::TokenStatus(request, "during execution", &partial);
           !status.ok()) {
         return status;
       }
@@ -484,6 +450,7 @@ void QueryScheduler::Start(Call* call) {
     if (!aligner.ok()) return refuse(aligner.status());
     call->aligners.push_back(*aligner);
   }
+  call->fused = call->aligners[0]->name() == "alae";
 
   // Per-query admission: validation, span check, then the cache — all
   // before compilation, so a cache hit never pays the query-side
@@ -508,7 +475,8 @@ void QueryScheduler::Start(Call* call) {
     // Fast-fail before the pool (or even the cache) is touched: an
     // already-expired request costs the service nothing.
     bool expired = false;
-    if (api::Status status = TokenStatus(request, "before admission", &expired);
+    if (api::Status status =
+            api::TokenStatus(request, "before admission", &expired);
         !status.ok() || expired) {
       outcome.status = status;
       outcome.response.stats.truncated = expired;
@@ -562,8 +530,9 @@ void QueryScheduler::Start(Call* call) {
       continue;
     }
     q.plan = std::move(*plan);
-    q.fused = UseFusedWalk(*q.plan);
-    if (q.fused && inst_.fused_queries != nullptr) inst_.fused_queries->Add();
+    if (call->fused && inst_.fused_queries != nullptr) {
+      inst_.fused_queries->Add();
+    }
   }
   if (queries.empty()) {
     Finish(call);
@@ -579,20 +548,6 @@ void QueryScheduler::Start(Call* call) {
       if (shutdown_) q.effective.Cancel();
     }
   }
-
-  // Micro-batching: up to batch_size consecutive queries of one execution
-  // mode form a group whose tasks run the whole group — one task for a
-  // fused group, one per slice otherwise — so task dispatch (and the
-  // slice's index going cold) is paid once per group.
-  for (size_t k = 0; k < queries.size();) {
-    size_t end = k + 1;
-    while (end < queries.size() && end - k < batch_size_ &&
-           queries[end].fused == queries[k].fused) {
-      ++end;
-    }
-    call->groups.push_back({k, end, queries[k].fused ? size_t{1} : slices});
-    k = end;
-  }
   Advance(call);
 }
 
@@ -603,22 +558,27 @@ void QueryScheduler::Advance(Call* call) {
   // the queue, all-or-nothing per wave, one wave at a time; a wave shed
   // by *competing* traffic marks only its own queries kResourceExhausted
   // (retrying those can genuinely succeed later).
-  const std::vector<Call::Group>& groups = call->groups;
+  //
+  // Micro-batching: queries [g * batch_size, (g + 1) * batch_size) form
+  // group g, whose tasks run the whole group — one task if fused, one per
+  // slice if not — so task dispatch (and the slice's index going cold) is
+  // paid once per group.
   std::deque<Query>& queries = call->queries;
-  while (call->next_group < groups.size()) {
+  const size_t per_group = call->fused ? 1 : call->view.slices.size();
+  const size_t num_groups = (queries.size() + batch_size_ - 1) / batch_size_;
+  const auto group_begin = [&](size_t g) {
+    return std::min(g * batch_size_, queries.size());
+  };
+  while (call->next_group < num_groups) {
     const size_t g = call->next_group;
-    size_t wave_end = g;
-    size_t num_tasks = 0;
-    while (wave_end < groups.size() &&
-           num_tasks + groups[wave_end].tasks <= pool_.queue_capacity()) {
-      num_tasks += groups[wave_end++].tasks;
-    }
+    size_t wave_end =
+        std::min(num_groups, g + pool_.queue_capacity() / per_group);
     api::Status failed;
     if (wave_end == g) {
       // The queue cannot hold even one query's fan-out: a configuration
       // misfit, not transient load.
       failed = api::Status::ResourceExhausted(
-          "one query fans out into " + std::to_string(groups[g].tasks) +
+          "one query fans out into " + std::to_string(per_group) +
           " slice tasks but the service queue holds only " +
           std::to_string(pool_.queue_capacity()) +
           "; raise queue_capacity to at least the slice count");
@@ -626,13 +586,15 @@ void QueryScheduler::Advance(Call* call) {
     }
     call->next_group = wave_end;
     if (failed.ok()) {
+      const size_t num_tasks = (wave_end - g) * per_group;
       std::vector<std::function<void()>> tasks;
       tasks.reserve(num_tasks);
       for (size_t w = g; w < wave_end; ++w) {
-        for (size_t s = 0; s < groups[w].tasks; ++s) {
-          tasks.push_back([this, call, group = groups[w], s] {
+        for (size_t s = 0; s < per_group; ++s) {
+          tasks.push_back([this, call, begin = group_begin(w),
+                           end = group_begin(w + 1), s] {
             int64_t start_ns = 0;
-            for (size_t k = group.begin; k < group.end; ++k) {
+            for (size_t k = begin; k < end; ++k) {
               Query& q = call->queries[k];
               // One queue span per query (slice 0's task), not one per
               // slice: the per-slice waits overlap and would double-book
@@ -644,7 +606,7 @@ void QueryScheduler::Advance(Call* call) {
                                call->roots[q.index]);
               }
               api::Status status =
-                  q.fused ? RunFused(*call, &q) : RunSlice(*call, s, &q);
+                  call->fused ? RunFused(*call, &q) : RunSlice(*call, s, &q);
               if (!status.ok()) {
                 std::lock_guard<std::mutex> lock(call->mu);
                 if (q.error.ok()) q.error = std::move(status);
@@ -663,7 +625,7 @@ void QueryScheduler::Advance(Call* call) {
       if (pool_.TrySubmitBatch(std::move(tasks))) return;
       failed = PoolRefusal(pool_, num_tasks);
     }
-    for (size_t k = groups[g].begin; k < groups[wave_end - 1].end; ++k) {
+    for (size_t k = group_begin(g); k < group_begin(wave_end); ++k) {
       queries[k].error = failed;
     }
   }

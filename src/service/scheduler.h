@@ -44,9 +44,9 @@ struct SchedulerOptions {
   // invalidates the whole-response cache above; 0 disables the tier.
   size_t shard_cache_capacity = 0;
 
-  // SearchBatch micro-batching: up to this many consecutive queries of one
-  // execution mode ride one task, so a task switch (and the shard index
-  // going cold) is paid once per group rather than once per query.
+  // SearchBatch micro-batching: up to this many consecutive queries ride
+  // one task, so a task switch (and the shard index going cold) is paid
+  // once per group rather than once per query.
   size_t batch_size = 8;
 
   // Default deadline imposed on every query (0 = none). Each query runs
@@ -86,13 +86,12 @@ struct SchedulerOptions {
 // are one non-blocking execution path; they differ only in where the
 // merged hits go and in whether the caller waits for the completion.
 //
-// Fusion policy (UseFusedWalk in scheduler.cc): a query of the built-in
-// ALAE backend runs as ONE pool task walking the union of the slices'
-// suffix tries, so each distinct path's fork DP is computed once for all
-// slices (Alae::RunSharded); its lanes are then published sorted in
-// owned-interval order, and the merger applies any max_hits cap. Every
-// other query — other backends, and ALAE with the single-index bitset
-// filter — runs one task per slice.
+// Fusion policy, decided once per call from the resolved backend: every
+// query of an ALAE call runs as ONE pool task walking the union of the
+// slices' suffix tries, so each distinct path's fork DP is computed once
+// for all slices (Alae::RunSharded); its lanes are then published sorted
+// in owned-interval order, and the merger applies any max_hits cap. Every
+// query of any other backend runs one task per slice.
 //
 // Repeats are answered from two cache tiers: the epoch-keyed
 // whole-response LRU and the content-keyed shard-fragment LRU. Any slice
@@ -136,9 +135,9 @@ class QueryScheduler {
   api::StatusOr<api::SearchResponse> Search(std::string_view backend,
                                             const api::SearchRequest& request);
 
-  // Micro-batched form: up to `batch_size` consecutive requests of one
-  // execution mode share a pool task (a fused group is one task, a
-  // per-slice group one task per slice), admitted in queue-sized waves.
+  // Micro-batched form: up to `batch_size` consecutive requests share a
+  // pool task (a fused group is one task, a per-slice group one task per
+  // slice), admitted in queue-sized waves.
   // Outcomes come back in input order, each with its own Status — one bad
   // query never takes down its neighbours.
   std::vector<api::QueryOutcome> SearchBatch(

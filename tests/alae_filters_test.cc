@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/global_filter.h"
 #include "src/core/reuse.h"
 #include "src/index/lcp.h"
 #include "src/io/sequence.h"
@@ -73,17 +72,6 @@ TEST(FilterContext, SmallThresholdShrinksQ) {
   AlaeConfig config;
   FilterContext f(ScoringScheme::Default(), 100, 2, config);
   EXPECT_EQ(f.q(), 2);  // ceil(2/1) < 4
-}
-
-TEST(BitsetGlobalFilter, SetAndTest) {
-  BitsetGlobalFilter g;
-  EXPECT_FALSE(g.Test(5, 7));
-  g.Set(5, 7);
-  EXPECT_TRUE(g.Test(5, 7));
-  EXPECT_FALSE(g.Test(7, 5));
-  g.Set(1LL << 30, 12345);
-  EXPECT_TRUE(g.Test(1LL << 30, 12345));
-  EXPECT_EQ(g.size(), 2u);
 }
 
 TEST(RowReuseGroup, FirstForkLeadsLaterForksFollow) {

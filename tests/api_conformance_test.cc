@@ -307,6 +307,26 @@ TEST(Conformance, BasicBackendEnforcesTextCap) {
             StatusCode::kFailedPrecondition);
 }
 
+// A plan carrying a backend's name but not that backend's plan type can
+// only be a QueryPlan constructed directly rather than compiled; every
+// backend with a typed plan refuses it instead of recompiling.
+TEST(Conformance, UncompiledPlansRejected) {
+  const Corpus c = MakeCorpora()[0];
+  AlignerRegistry registry(c.text);
+  for (const char* name : {"alae", "bwt-sw", "blast", "sw"}) {
+    std::unique_ptr<Aligner> aligner = *registry.Create(name);
+    QueryPlan plan(name, RequestFor(c));
+    int emitted = 0;
+    Status status = aligner->Search(plan, [&](const AlignmentHit&) {
+      ++emitted;
+      return true;
+    });
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << name << ": " << status.ToString();
+    EXPECT_EQ(emitted, 0) << name;
+  }
+}
+
 }  // namespace
 }  // namespace api
 }  // namespace alae

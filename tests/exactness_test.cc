@@ -171,23 +171,6 @@ TEST(Exactness, AlaeAllFilterCombinations) {
   }
 }
 
-TEST(Exactness, AlaeBitsetGlobalFilter) {
-  for (int trial = 0; trial < 8; ++trial) {
-    AlaeConfig config;
-    config.bitset_global_filter = true;
-    config.domination_filter = trial % 2;
-    TrialSpec spec;
-    spec.sigma_kind = trial % 2;
-    spec.text_len = 100 + 20 * trial;
-    spec.query_len = 40;
-    spec.scheme = ScoringScheme::Default();
-    spec.threshold = 6 + trial;
-    spec.homology = 0.7;
-    spec.seed = 5000 + static_cast<uint64_t>(trial);
-    RunTrial(spec, config, "bitset trial " + std::to_string(trial));
-  }
-}
-
 // Low thresholds exercise the effective-q cap (H < q*sa): exactness must
 // hold even when results are single-character matches.
 TEST(Exactness, AlaeTinyThresholds) {

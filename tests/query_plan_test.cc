@@ -237,11 +237,10 @@ TEST(QueryPlan, FusedShardedRunMatchesPerIndexRuns) {
   }
 }
 
-// Scheduler differential across shard counts and both execution modes: the
-// fused fan-out and the per-shard fan-out (the single-index bitset filter,
-// which the fusion policy keeps per slice; it prunes work, never answers)
-// must both be bit-exact against the unsharded facade for ALAE (the full
-// all-backend differential lives in service_test).
+// Scheduler differential across shard counts: every ALAE query takes the
+// fused fan-out, which must be bit-exact against the unsharded facade (the
+// full all-backend differential, per-slice fan-out included, lives in
+// service_test).
 TEST(QueryPlan, SchedulerFusedAndPerShardMatchUnshardedAcrossShardCounts) {
   WorkloadSpec spec;
   spec.text_length = 2'400;
@@ -268,19 +267,14 @@ TEST(QueryPlan, SchedulerFusedAndPerShardMatchUnshardedAcrossShardCounts) {
       std::unique_ptr<api::Aligner> reference = *registry.Create("alae");
       api::StatusOr<SearchResponse> unsharded = reference->Search(request);
       ASSERT_TRUE(unsharded.ok());
-      for (bool fused : {true, false}) {
-        request.alae.bitset_global_filter = !fused;
-        const uint64_t fused_before = fused_queries->Value();
-        api::StatusOr<SearchResponse> sharded =
-            scheduler.Search("alae", request);
-        ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-        EXPECT_EQ(fused_queries->Value(), fused_before + (fused ? 1 : 0));
-        EXPECT_EQ(sharded->hits, unsharded->hits)
-            << "shard_size " << shard_size << " fused " << fused;
-        // The shared plan is compiled once and reused by every engine
-        // execution behind the response.
-        EXPECT_GE(sharded->stats.plan_reuses, 1u);
-      }
+      const uint64_t fused_before = fused_queries->Value();
+      api::StatusOr<SearchResponse> sharded = scheduler.Search("alae", request);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      EXPECT_EQ(fused_queries->Value(), fused_before + 1);
+      EXPECT_EQ(sharded->hits, unsharded->hits) << "shard_size " << shard_size;
+      // The shared plan is compiled once and reused by every engine
+      // execution behind the response.
+      EXPECT_GE(sharded->stats.plan_reuses, 1u);
     }
   }
 }

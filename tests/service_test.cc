@@ -103,7 +103,7 @@ TEST(ShardedCorpus, LongTextShardsOpenBasicAndStayExact) {
     SearchRequest request = MakeRequest(query, 20);
     std::vector<AlignmentHit> expected =
         Unsharded(registry, "sw", request);
-    for (const std::string& backend : {"alae", "bwt-sw", "sw", "basic"}) {
+    for (const char* backend : {"alae", "bwt-sw", "sw", "basic"}) {
       api::StatusOr<SearchResponse> sharded =
           scheduler.Search(backend, request);
       ASSERT_TRUE(sharded.ok())

@@ -268,11 +268,15 @@ void ExpectSamePair(RowCase& ca, RowCase& cb, DpTier tier, uint64_t tag) {
   ASSERT_EQ(sm_a, vm_a) << "pair row a M, tier " << DpTierName(tier)
                         << " case " << tag;
   ASSERT_EQ(sga_a, vga_a) << "pair row a Ga, case " << tag;
-  if (gb_a) ASSERT_EQ(sgb_a, vgb_a) << "pair row a Gb, case " << tag;
+  if (gb_a) {
+    ASSERT_EQ(sgb_a, vgb_a) << "pair row a Gb, case " << tag;
+  }
   ASSERT_EQ(sm_b, vm_b) << "pair row b M, tier " << DpTierName(tier)
                         << " case " << tag;
   ASSERT_EQ(sga_b, vga_b) << "pair row b Ga, case " << tag;
-  if (gb_b) ASSERT_EQ(sgb_b, vgb_b) << "pair row b Gb, case " << tag;
+  if (gb_b) {
+    ASSERT_EQ(sgb_b, vgb_b) << "pair row b Gb, case " << tag;
+  }
   EXPECT_EQ(ssa.first_alive, vsa.first_alive) << "case " << tag;
   EXPECT_EQ(ssa.last_alive, vsa.last_alive) << "case " << tag;
   EXPECT_EQ(ssa.gb_last, vsa.gb_last) << "case " << tag;

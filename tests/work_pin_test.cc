@@ -134,5 +134,21 @@ TEST(WorkPin, ProteinFourLanes) {
   EXPECT_TRUE(moved.empty()) << "work counters moved:\n" << moved;
 }
 
+// Short shards leave some 4-grams with a single predecessor in both
+// lanes, so the domination filter (the only global filter) skips forks.
+TEST(WorkPin, DnaShortShardsDominated) {
+  PinnedWork got = RunFused(/*seed=*/303, Alphabet::Dna(), /*lanes=*/2,
+                            /*shard_length=*/600, /*query_length=*/200,
+                            /*queries=*/4, /*threshold=*/20);
+  PinnedWork want = Want(/*c1=*/6404, /*c2=*/481, /*c3=*/24235,
+                         /*assigned=*/3032, /*reused=*/247, /*forks=*/758,
+                         /*dominated=*/9, /*nodes=*/7526,
+                         /*extends=*/5744, /*extend_alls=*/1556,
+                         /*lf_steps=*/945, /*text_steps=*/1236,
+                         /*hits=*/187);
+  std::string moved = Moved(got, want);
+  EXPECT_TRUE(moved.empty()) << "work counters moved:\n" << moved;
+}
+
 }  // namespace
 }  // namespace alae
