@@ -52,7 +52,6 @@ service::LiveCorpusOptions LiveOptions(int64_t n) {
   options.base.overlap = kOverlap;
   options.base.shard_size = n / 4 + 2 * kOverlap + 1;  // ~4 base shards
   options.compact_after_deltas = 0;  // manual compaction only
-  options.background_compaction = false;
   return options;
 }
 
@@ -206,7 +205,6 @@ int main(int argc, char** argv) {
   {
     service::LiveCorpusOptions options = LiveOptions(n);
     options.compact_after_deltas = 4;
-    options.background_compaction = true;
     std::unique_ptr<service::LiveCorpus> live = BuildLive(text, options);
     for (size_t d = 0; d < 4; ++d) {
       auto id = live->AppendDocument(appends[d]);

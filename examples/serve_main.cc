@@ -272,13 +272,13 @@ int RunScript(const std::vector<ScriptItem>& script, service::LiveCorpus& live,
       case ScriptItem::kStats: {
         std::printf(
             "#stats: %lld chars, %zu docs, deltas=%zu tombstones=%zu "
-            "compactions=%llu (background %llu), index %.1f MiB, response "
+            "compactions=%llu (triggered %llu), index %.1f MiB, response "
             "cache %llu/%llu, fragment cache %llu/%llu\n",
             static_cast<long long>(live.text_size()),
             live.Documents().size(), live.num_deltas(),
             live.num_tombstones(),
             static_cast<unsigned long long>(live.compactions()),
-            static_cast<unsigned long long>(live.background_compactions()),
+            static_cast<unsigned long long>(live.triggered_compactions()),
             static_cast<double>(live.IndexBytes()) / (1024.0 * 1024.0),
             static_cast<unsigned long long>(scheduler.cache().hits()),
             static_cast<unsigned long long>(scheduler.cache().misses()),

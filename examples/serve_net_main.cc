@@ -9,8 +9,8 @@
 //   # serve a random 2 Mb DNA corpus on an ephemeral port
 //   serve_net_main --random-text=2000000
 //
-//   # serve a previously saved corpus on a fixed port, poll() event loop
-//   serve_net_main --corpus=/tmp/corpus --port=7411 --force-poll=1
+//   # serve a previously saved corpus on a fixed port
+//   serve_net_main --corpus=/tmp/corpus --port=7411
 //
 // Exits non-zero on any setup failure.
 
@@ -47,7 +47,6 @@ struct Flags {
   int64_t overlap = 4096;
   int threads = 0;         // scheduler pool; 0 = hardware concurrency
   uint64_t seed = 42;
-  bool force_poll = false;
   int metrics_dump_sec = 0;  // dump the registry every N sec (0 = off)
   double trace_sample = 0.0; // scheduler trace sampling rate
   int64_t slow_query_ms = 0; // slow-query log threshold (0 = off)
@@ -77,8 +76,6 @@ struct Flags {
         f.threads = std::atoi(value.c_str());
       } else if (value_of("seed", &value)) {
         f.seed = std::strtoull(value.c_str(), nullptr, 10);
-      } else if (value_of("force-poll", &value)) {
-        f.force_poll = value != "0";
       } else if (value_of("metrics-dump-sec", &value)) {
         f.metrics_dump_sec = std::atoi(value.c_str());
       } else if (value_of("trace-sample", &value)) {
@@ -159,7 +156,6 @@ int main(int argc, char** argv) {
   net::NetServerOptions net_options;
   net_options.host = flags.host;
   net_options.port = flags.port;
-  net_options.force_poll = flags.force_poll;
   net::NetServer server(&scheduler, net_options);
   if (api::Status started = server.Start(); !started.ok()) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());

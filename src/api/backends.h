@@ -171,7 +171,7 @@ class BasicBackend : public Aligner {
   const Sequence& text() const override { return index_->text(); }
 
  protected:
-  // Compilation enforces the text cap (so Prepare reports it), and so
+  // Compilation enforces the text cap (so Compile reports it), and so
   // does execution — a plan compiled by a small-text sibling must not
   // unlock a big-text search here.
   StatusOr<std::unique_ptr<QueryPlan>> CompileImpl(

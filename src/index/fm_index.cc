@@ -15,7 +15,8 @@
 // OccCount* family) live in fm_rank_impl.inc and are compiled twice — the
 // portable TU and the -mpopcnt clone — behind the coarse dispatch declared
 // in fm_rank.h. This file owns construction, serialisation and the cold
-// paths, and routes each hot entry point to the selected clone.
+// paths; each hot entry point runs through a RankCursor, which picks the
+// clone.
 
 namespace alae {
 namespace {
@@ -37,14 +38,6 @@ constexpr uint64_t LayoutFlagsForSigma(int sigma) {
   return FmLayoutGeometry(FmLayoutForSigma(sigma)).two_level
              ? kLayoutTwoLevel
              : 0;
-}
-
-inline SaRange FlatExtend(const FmFlatView& v, const SaRange& range,
-                          Symbol c) {
-  if (const FmRankOps* native = SelectedNativeRankOps()) {
-    return native->extend(v, range, c);
-  }
-  return fm_rank_portable::Extend(v, range, c);
 }
 
 }  // namespace
@@ -169,38 +162,12 @@ FmIndex::FmIndex(const Sequence& text, FmIndexOptions options)
   }
 }
 
-Symbol FmIndex::AccessBwt(int64_t row) const {
-  const FmFlatView v = View();
-  if (const FmRankOps* native = SelectedNativeRankOps()) {
-    return native->access(v, row);
-  }
-  return fm_rank_portable::Access(v, row);
-}
-
-int64_t FmIndex::Occ(Symbol shifted, int64_t row) const {
-  const FmFlatView v = View();
-  if (const FmRankOps* native = SelectedNativeRankOps()) {
-    return native->occ(v, shifted, row);
-  }
-  return fm_rank_portable::OccRank(v, shifted, row);
-}
-
 SaRange FmIndex::Extend(const SaRange& range, Symbol c) const {
-  if (range.Empty()) return {0, 0};
-  return FlatExtend(View(), range, c);
+  return Cursor().Extend(range, c);
 }
 
 void FmIndex::ExtendAll(const SaRange& range, SaRange* out) const {
-  if (range.Empty()) {
-    for (int c = 0; c < sigma_; ++c) out[c] = {0, 0};
-    return;
-  }
-  const FmFlatView v = View();
-  if (const FmRankOps* native = SelectedNativeRankOps()) {
-    native->extend_all(v, range, out);
-    return;
-  }
-  fm_rank_portable::ExtendAll(v, range, out);
+  Cursor().ExtendAll(range, out);
 }
 
 void FmIndex::ExtendBatch(const SaRange* in, const Symbol* cs, SaRange* out,
@@ -208,12 +175,7 @@ void FmIndex::ExtendBatch(const SaRange* in, const Symbol* cs, SaRange* out,
   // One indirect call for the whole batch; the clone prefetches every
   // lane's boundary blocks before the first rank runs, then the per-item
   // extends are exactly the one-by-one results.
-  const FmFlatView v = View();
-  if (const FmRankOps* native = SelectedNativeRankOps()) {
-    native->extend_batch(v, in, cs, out, count);
-    return;
-  }
-  fm_rank_portable::ExtendBatch(v, in, cs, out, count);
+  Cursor().ExtendBatch(in, cs, out, count);
 }
 
 SaRange FmIndex::Find(const Symbol* pattern, size_t len) const {
@@ -233,19 +195,14 @@ bool FmIndex::ExtendSingleton(int64_t row, Symbol* c, SaRange* child) const {
   // Extend([row, row+1), BWT[row]-1): the lower boundary rank; the upper
   // is lower + 1 because BWT[row] is itself an occurrence of the symbol.
   // The clones fuse the symbol extraction with its rank (one block visit).
-  const FmFlatView v = View();
-  if (const FmRankOps* native = SelectedNativeRankOps()) {
-    return native->extend_singleton(v, row, c, child);
-  }
-  return fm_rank_portable::ExtendSingleton(v, row, c, child);
+  return Cursor().ExtendSingleton(row, c, child);
 }
 
 int64_t FmIndex::LocateRowSteps(int64_t row, uint64_t* steps) const {
   int64_t walked = 0;
-  const FmFlatView v = View();
-  const FmRankOps* native = SelectedNativeRankOps();
+  const RankCursor cursor = Cursor();
   while (!sampled_rows_.Get(static_cast<size_t>(row))) {
-    row = native ? native->lf_step(v, row) : fm_rank_portable::LfStep(v, row);
+    row = cursor.LfStep(row);
     // A valid walk visits distinct rows until it hits a mark, so it can
     // never exceed the row count; corrupted marks must not hang us.
     if (++walked > static_cast<int64_t>(n_) + 1) return 0;
@@ -270,8 +227,7 @@ std::vector<int64_t> FmIndex::Locate(const SaRange& range,
   // prefetches before stepping lets the misses overlap instead of
   // serialising. Outputs land in their range slot, so the result is
   // identical to the row-by-row walk, as is the total step count.
-  const FmFlatView v = View();
-  const FmRankOps* native = SelectedNativeRankOps();
+  const RankCursor cursor = Cursor();
   constexpr int kWays = 4;
   struct Walk {
     int64_t row;
@@ -308,8 +264,7 @@ std::vector<int64_t> FmIndex::Locate(const SaRange& range,
         }
         continue;  // the replacement walk gets processed this sweep
       }
-      w.row = native ? native->lf_step(v, w.row)
-                     : fm_rank_portable::LfStep(v, w.row);
+      w.row = cursor.LfStep(w.row);
       // A valid walk visits distinct rows until it hits a mark; corrupted
       // marks must not hang us (mirrors LocateRowSteps).
       if (++w.steps > step_cap) {
@@ -499,8 +454,9 @@ bool FmIndex::LoadSamplesAndCrossCheck(std::istream& in) {
     if (sample < 0 || sample > static_cast<int64_t>(n_)) return false;
   }
   // Cross-check: per-symbol occ totals must reproduce the C table.
+  const RankCursor cursor = Cursor();
   for (int s = 0; s <= sigma_; ++s) {
-    if (Occ(static_cast<Symbol>(s), rows) !=
+    if (cursor.Occ(static_cast<Symbol>(s), rows) !=
         c_[static_cast<size_t>(s) + 1] - c_[static_cast<size_t>(s)]) {
       return false;
     }

@@ -118,7 +118,8 @@ class FmIndex {
   // dispatched rank-op choice are captured once instead of being rebuilt
   // per call, and every method is header-inline, so a walk issuing
   // millions of per-lane rank calls pays only the rank itself plus one
-  // predictable branch. Results are identical to the FmIndex wrappers.
+  // predictable branch. This is the only place the native-or-portable
+  // choice is made: every FmIndex rank entry point runs through a cursor.
   // Borrows the index: valid only while the index outlives it unmodified
   // (walks construct cursors per run, never cache them).
   class RankCursor {
@@ -135,7 +136,7 @@ class FmIndex {
     }
     void ExtendAll(const SaRange& range, SaRange* out) const {
       if (range.Empty()) {
-        index_->ExtendAll(range, out);
+        for (int c = 0; c < view_.sigma; ++c) out[c] = {0, 0};
         return;
       }
       if (native_ != nullptr) {
@@ -160,6 +161,16 @@ class FmIndex {
         return;
       }
       fm_rank_portable::ExtendBatch(view_, in, cs, out, count);
+    }
+    // Rank of shifted symbol `shifted` (0 = sentinel) in BWT[0, row).
+    int64_t Occ(Symbol shifted, int64_t row) const {
+      if (native_ != nullptr) return native_->occ(view_, shifted, row);
+      return fm_rank_portable::OccRank(view_, shifted, row);
+    }
+    // One LF-mapping step from `row`.
+    int64_t LfStep(int64_t row) const {
+      if (native_ != nullptr) return native_->lf_step(view_, row);
+      return fm_rank_portable::LfStep(view_, row);
     }
     void PrefetchRange(const SaRange& range) const {
       index_->PrefetchRange(range);
@@ -246,9 +257,6 @@ class FmIndex {
     return v;
   }
 
-  // Stored symbols are shifted by +1; 0 is the sentinel.
-  int64_t Occ(Symbol shifted, int64_t row) const;
-  Symbol AccessBwt(int64_t row) const;
   int64_t LocateRowSteps(int64_t row, uint64_t* steps) const;
 
   size_t n_ = 0;

@@ -1,8 +1,5 @@
 // Startup cpuid resolution for the coarse-grained rank dispatch (see
-// fm_rank.h). This TU is compiled with the project-default flags, so
-// __POPCNT__ tells us whether the *portable* path is already native —
-// in which case the clone is never selected and every call keeps the
-// direct, cross-TU-inlined route.
+// fm_rank.h).
 #include "src/index/fm_rank.h"
 
 #include <atomic>
@@ -12,13 +9,9 @@ namespace internal {
 
 std::atomic<const FmRankOps*> g_fm_rank_native{nullptr};
 
-namespace {
+}  // namespace internal
 
-#if defined(__POPCNT__)
-constexpr bool kPortableIsNative = true;
-#else
-constexpr bool kPortableIsNative = false;
-#endif
+namespace {
 
 bool CpuHasPopcnt() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -28,39 +21,28 @@ bool CpuHasPopcnt() {
 #endif
 }
 
-// One-time probe, kicked off by a static initializer so steady-state calls
-// pay only the relaxed load in SelectedNativeRankOps(). An FmIndex op that
+// One-time probe, run by a static initializer so steady-state calls pay
+// only the relaxed load in SelectedNativeRankOps(). An FmIndex op that
 // somehow runs before this initializer sees nullptr and takes the portable
 // path — always safe, never wrong.
 struct DispatchInit {
-  DispatchInit() { InitFmRankDispatch(); }
+  DispatchInit() {
+    if (CpuHasPopcnt()) {
+      internal::g_fm_rank_native.store(fm_rank_native::Ops(),
+                                       std::memory_order_relaxed);
+    }
+  }
 } g_dispatch_init;
 
 }  // namespace
 
-void InitFmRankDispatch() {
-  if (kPortableIsNative) return;  // direct path already runs popcnt
-  if (!CpuHasPopcnt()) return;
-  g_fm_rank_native.store(fm_rank_native::Ops(), std::memory_order_relaxed);
-}
-
-}  // namespace internal
-
 FmRankTier ActiveFmRankTier() {
-#if defined(__POPCNT__)
-  return FmRankTier::kNativePopcnt;
-#else
   return SelectedNativeRankOps() != nullptr ? FmRankTier::kNativePopcnt
                                             : FmRankTier::kPortable;
-#endif
 }
 
 bool NativeFmRankAvailable() {
-#if defined(__POPCNT__)
-  return true;
-#else
-  return internal::CpuHasPopcnt() && fm_rank_native::Ops() != nullptr;
-#endif
+  return CpuHasPopcnt() && fm_rank_native::Ops() != nullptr;
 }
 
 bool SetFmRankTier(FmRankTier tier) {
@@ -68,14 +50,10 @@ bool SetFmRankTier(FmRankTier tier) {
     internal::g_fm_rank_native.store(nullptr, std::memory_order_relaxed);
     return true;
   }
-#if defined(__POPCNT__)
-  return true;  // portable path is already native; nothing to switch
-#else
   if (!NativeFmRankAvailable()) return false;
   internal::g_fm_rank_native.store(fm_rank_native::Ops(),
                                    std::memory_order_relaxed);
   return true;
-#endif
 }
 
 }  // namespace alae

@@ -12,15 +12,15 @@ struct SaRange;
 
 // ---------------------------------------------------------------------------
 // The flat-occ rank primitives live behind a coarse-grained CPU dispatch:
-// every entry point below is compiled twice — once with the portable
-// baseline flags (SWAR popcount under ALAE_PORTABLE_BINARY) and once in a
-// translation unit built with -mpopcnt — and an atomic pointer selected by
-// cpuid at startup routes whole Extend/ExtendAll/Locate-step operations to
-// the native clone. Dispatching at this granularity (a full multi-word
-// block rank per indirect call, not a per-popcount ifunc) is what makes the
-// native path a win: per-entry `target_clones` on the rank internals was
-// measured slower than the SWAR fallback because the call barrier cost more
-// than the popcount saved.
+// every entry point below is compiled twice — once with the baseline
+// flags (SWAR popcount) and once in a translation unit built with
+// -mpopcnt — and an atomic pointer selected by cpuid at startup routes
+// whole Extend/ExtendAll/Locate-step operations to the native clone.
+// Dispatching at this granularity (a full multi-word block rank per
+// indirect call, not a per-popcount ifunc) is what makes the native path a
+// win: per-entry `target_clones` on the rank internals was measured slower
+// than the SWAR fallback because the call barrier cost more than the
+// popcount saved.
 // ---------------------------------------------------------------------------
 
 // How the flat occ blocks lay out checkpoints and packed BWT symbols. Each
@@ -112,7 +112,6 @@ struct FmRankOps {
   void (*extend_batch)(const FmFlatView&, const SaRange* in,
                        const Symbol* cs, SaRange* out, int count);
   int64_t (*occ)(const FmFlatView&, Symbol shifted, int64_t row);
-  Symbol (*access)(const FmFlatView&, int64_t row);
   int64_t (*lf_step)(const FmFlatView&, int64_t row);
 };
 
@@ -126,7 +125,6 @@ bool ExtendSingleton(const FmFlatView& v, int64_t row, Symbol* c,
 void ExtendBatch(const FmFlatView& v, const SaRange* in, const Symbol* cs,
                  SaRange* out, int count);
 int64_t OccRank(const FmFlatView& v, Symbol shifted, int64_t row);
-Symbol Access(const FmFlatView& v, int64_t row);
 int64_t LfStep(const FmFlatView& v, int64_t row);
 const FmRankOps* Ops();
 }  // namespace fm_rank_portable
@@ -140,31 +138,23 @@ const FmRankOps* Ops();
 enum class FmRankTier : uint8_t { kPortable = 0, kNativePopcnt = 1 };
 
 namespace internal {
-// Non-null iff the native clone should be used instead of the direct
-// portable call. Stays null when the whole binary is already built with
-// -mpopcnt (ALAE_PORTABLE_BINARY=OFF): the portable path is then native
-// *and* keeps cross-TU inlining, which beats any dispatch.
+// Non-null iff the native clone is selected instead of the direct portable
+// call: set at startup when cpuid reports popcnt.
 extern std::atomic<const FmRankOps*> g_fm_rank_native;
-void InitFmRankDispatch();  // idempotent cpuid probe
 }  // namespace internal
 
 inline const FmRankOps* SelectedNativeRankOps() {
   return internal::g_fm_rank_native.load(std::memory_order_relaxed);
 }
 
-// The tier rank operations currently resolve to. Reports kNativePopcnt
-// both when the native clone is selected and when the portable build is
-// itself compiled with -mpopcnt.
+// The tier rank operations currently resolve to.
 FmRankTier ActiveFmRankTier();
 
-// Whether hardware-popcount rank is reachable in this build+host, through
-// either the clone or a native portable build.
+// Whether the native clone is built and the host has popcnt.
 bool NativeFmRankAvailable();
 
 // Test/bench hook: force a tier. Returns false (and changes nothing) when
-// the requested tier is not available. Forcing kPortable on a binary
-// whose portable TU is already -mpopcnt is allowed but is a no-op in
-// instruction terms.
+// the requested tier is not available.
 bool SetFmRankTier(FmRankTier tier);
 
 }  // namespace alae

@@ -16,7 +16,7 @@
 #include "src/index/fm_index.h"
 #include "src/index/fm_rank.h"
 
-#if defined(__POPCNT__) || defined(ALAE_FM_RANK_FORCE_NATIVE)
+#if defined(__POPCNT__)
 
 #define ALAE_FM_RANK_NS fm_rank_native
 #include "src/index/fm_rank_impl.inc"

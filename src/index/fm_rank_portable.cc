@@ -1,8 +1,8 @@
 // Portable instantiation of the flat-occ rank operations: compiled with the
-// project-default flags, so under ALAE_PORTABLE_BINARY the popcounts lower
-// to the SWAR fallback and the binary still runs on baseline x86-64 (and
-// non-x86) hosts. This is also the direct, LTO-inlinable path the FmIndex
-// entry points call when no native clone is selected.
+// project-default flags, so the popcounts lower to the SWAR fallback and
+// the binary still runs on baseline x86-64 (and non-x86) hosts. This is
+// also the direct, LTO-inlinable path the FmIndex entry points call when
+// no native clone is selected.
 #include <bit>
 #include <cstdint>
 #include <utility>

@@ -10,10 +10,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include <algorithm>
 #include <chrono>
 #include <map>
@@ -26,6 +22,17 @@ namespace alae {
 namespace net {
 namespace {
 
+// Fixed serving bounds.
+constexpr int kListenBacklog = 64;
+// Hits per HITS frame on the wire.
+constexpr size_t kHitsPerFrame = 512;
+static_assert(kHitsPerFrame <= kMaxHitsPerFrame);
+// A connection whose client stops reading accumulates output; past this
+// many unsent bytes the connection is declared dead and its in-flight
+// queries are cancelled (the streaming sink observes the death and
+// short-circuits).
+constexpr size_t kMaxOutputBuffer = 64u << 20;
+
 api::Status ErrnoStatus(const std::string& what) {
   return api::Status::Internal(what + ": " + ::strerror(errno));
 }
@@ -35,10 +42,9 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-// Readiness poller behind the event loop: epoll on Linux, portable poll()
-// elsewhere or when NetServerOptions::force_poll asks for it. Both
-// backends are level-triggered — the loop re-arms write interest only
-// while output is buffered, so level semantics cannot spin.
+// Readiness poller behind the event loop: poll() over the listener, the
+// wake pipe and every connection. Level-triggered — the loop re-arms
+// write interest only while output is buffered, so it cannot spin.
 class Poller {
  public:
   struct Event {
@@ -48,23 +54,10 @@ class Poller {
     bool hangup;
   };
 
-  virtual ~Poller() = default;
-  virtual bool Add(int fd, bool want_write) = 0;
-  virtual void Update(int fd, bool want_write) = 0;
-  virtual void Remove(int fd) = 0;
-  virtual void Wait(std::vector<Event>* out) = 0;
-};
+  void Watch(int fd, bool want_write) { interest_[fd] = want_write; }
+  void Remove(int fd) { interest_.erase(fd); }
 
-class PollPoller : public Poller {
- public:
-  bool Add(int fd, bool want_write) override {
-    interest_[fd] = want_write;
-    return true;
-  }
-  void Update(int fd, bool want_write) override { interest_[fd] = want_write; }
-  void Remove(int fd) override { interest_.erase(fd); }
-
-  void Wait(std::vector<Event>* out) override {
+  void Wait(std::vector<Event>* out) {
     out->clear();
     fds_.clear();
     for (const auto& [fd, want_write] : interest_) {
@@ -85,65 +78,10 @@ class PollPoller : public Poller {
   }
 
  private:
-  // Ordered map: deterministic scan order makes poll-backend test runs
-  // reproducible.
+  // Ordered map: deterministic scan order makes test runs reproducible.
   std::map<int, bool> interest_;
   std::vector<struct pollfd> fds_;
 };
-
-#ifdef __linux__
-class EpollPoller : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  bool ok() const { return epfd_ >= 0; }
-
-  bool Add(int fd, bool want_write) override {
-    struct epoll_event ev;
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
-  }
-  void Update(int fd, bool want_write) override {
-    struct epoll_event ev;
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
-  }
-  void Remove(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  void Wait(std::vector<Event>* out) override {
-    out->clear();
-    struct epoll_event evs[64];
-    const int n = ::epoll_wait(epfd_, evs, 64, /*timeout_ms=*/1000);
-    for (int i = 0; i < n; ++i) {
-      out->push_back(Event{evs[i].data.fd, (evs[i].events & EPOLLIN) != 0,
-                           (evs[i].events & EPOLLOUT) != 0,
-                           (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0});
-    }
-  }
-
- private:
-  int epfd_;
-};
-#endif  // __linux__
-
-std::unique_ptr<Poller> MakePoller(bool force_poll) {
-#ifdef __linux__
-  if (!force_poll) {
-    auto epoll = std::make_unique<EpollPoller>();
-    if (epoll->ok()) return epoll;
-  }
-#else
-  (void)force_poll;
-#endif
-  return std::make_unique<PollPoller>();
-}
 
 uint8_t WireAlphabetCode(AlphabetKind kind) {
   return kind == AlphabetKind::kProtein ? kAlphabetProtein : kAlphabetDna;
@@ -207,7 +145,7 @@ api::Status NetServer::Start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, options_.backlog) != 0 ||
+      ::listen(listen_fd_, kListenBacklog) != 0 ||
       !SetNonBlocking(listen_fd_)) {
     api::Status status = ErrnoStatus("bind/listen " + options_.host + ":" +
                                      std::to_string(options_.port));
@@ -300,7 +238,7 @@ void NetServer::EnqueueOutput(const std::shared_ptr<Connection>& conn,
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->dead) return;
     if (conn->out.size() - conn->out_offset + bytes.size() >
-        options_.max_output_buffer) {
+        kMaxOutputBuffer) {
       overflow = true;
     } else {
       conn->out.append(bytes);
@@ -346,9 +284,9 @@ NetServer::FlushResult NetServer::FlushOutput(Connection* conn) {
 }
 
 void NetServer::EventLoop() {
-  std::unique_ptr<Poller> poller = MakePoller(options_.force_poll);
-  poller->Add(listen_fd_, false);
-  poller->Add(wake_pipe_[0], false);
+  Poller poller;
+  poller.Watch(listen_fd_, false);
+  poller.Watch(wake_pipe_[0], false);
 
   std::vector<Poller::Event> events;
   std::vector<char> buf(64 * 1024);
@@ -356,7 +294,7 @@ void NetServer::EventLoop() {
   auto close_connection = [&](const std::shared_ptr<Connection>& conn,
                               bool count_disconnect) {
     KillConnection(conn, count_disconnect);
-    poller->Remove(conn->fd);
+    poller.Remove(conn->fd);
     ::close(conn->fd);
     connections_.erase(conn->fd);
   };
@@ -367,7 +305,7 @@ void NetServer::EventLoop() {
     if (result == FlushResult::kDead) {
       close_connection(conn, /*count_disconnect=*/true);
     } else {
-      poller->Update(conn->fd, result == FlushResult::kBlocked);
+      poller.Watch(conn->fd, result == FlushResult::kBlocked);
     }
   };
 
@@ -387,7 +325,7 @@ void NetServer::EventLoop() {
     // Start what freed slots allow, before sleeping.
     DrainRing();
 
-    poller->Wait(&events);
+    poller.Wait(&events);
     if (stopping_.load()) break;
 
     for (const Poller::Event& ev : events) {
@@ -406,7 +344,7 @@ void NetServer::EventLoop() {
           ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
           auto conn = std::make_shared<Connection>(fd, kMaxPayload);
           connections_[fd] = conn;
-          poller->Add(fd, false);
+          poller.Watch(fd, false);
           inst_.connections->Add();
         }
         continue;
@@ -605,8 +543,6 @@ void NetServer::DrainRing() {
   // more would only queue inside the scheduler instead of in the fair ring.
   const size_t limit =
       static_cast<size_t>(std::max(1, scheduler_->pool().threads()));
-  const size_t per_frame =
-      std::min(std::max<size_t>(1, options_.hits_per_frame), kMaxHitsPerFrame);
   while (!ring_.empty()) {
     {
       std::lock_guard<std::mutex> lock(dirty_mu_);
@@ -640,7 +576,7 @@ void NetServer::DrainRing() {
     }
     scheduler_->StartStream(
         r->wire.backend, r->request,
-        [this, conn, r, per_frame](const AlignmentHit& hit) {
+        [this, conn, r](const AlignmentHit& hit) {
           {
             std::lock_guard<std::mutex> lock(conn->mu);
             // A dead peer stops the stream: the cap token fires and the
@@ -648,7 +584,7 @@ void NetServer::DrainRing() {
             if (conn->dead) return false;
           }
           r->chunk.push_back(hit);
-          if (r->chunk.size() >= per_frame) SendHits(conn, r.get());
+          if (r->chunk.size() >= kHitsPerFrame) SendHits(conn, r.get());
           return true;
         },
         [this, conn, r](api::StatusOr<api::EngineStats> result) {

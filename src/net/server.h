@@ -27,11 +27,6 @@ struct NetServerOptions {
   // port is readable via NetServer::port() after Start().
   std::string host = "127.0.0.1";
   int port = 0;
-  int backlog = 64;
-
-  // Force the portable poll() event loop even on Linux (tests exercise
-  // both poller backends through this).
-  bool force_poll = false;
 
   // Alphabet requests must declare (kAlphabetDna / kAlphabetProtein must
   // match the corpus this server fronts); mismatches are rejected with
@@ -43,14 +38,6 @@ struct NetServerOptions {
   // RESOURCE_EXHAUSTED (retryable) immediately — the wire-level analogue
   // of the scheduler shedding load.
   size_t max_pipeline = 64;
-
-  // A connection whose client stops reading accumulates output; past this
-  // bound the connection is declared dead and its in-flight queries are
-  // cancelled (the streaming sink observes the death and short-circuits).
-  size_t max_output_buffer = 64u << 20;
-
-  // Hits per HITS frame on the wire (bounded by kMaxHitsPerFrame).
-  size_t hits_per_frame = 512;
 };
 
 // TCP front-end for a QueryScheduler: speaks the framed protocol of
@@ -59,14 +46,13 @@ struct NetServerOptions {
 // every request with exactly one STATUS frame.
 //
 // Concurrency model — two kinds of threads:
-//   * ONE event-loop thread owns every socket (epoll on Linux, portable
-//     poll() elsewhere or with force_poll) and drains the admission ring:
-//     pop a connection, take ONE of its pending requests, hand it to
-//     QueryScheduler::StartStream (which returns at once), re-queue the
-//     connection at the tail if it has more pending. One request per turn
-//     round-robins service across connections, so a client that pipelines
-//     100 requests cannot starve its neighbours. At most as many requests
-//     are started as the scheduler pool has threads.
+//   * ONE event-loop thread owns every socket (one poll() set) and drains
+//     the admission ring: pop a connection, take ONE of its pending
+//     requests, hand it to QueryScheduler::StartStream (which returns at
+//     once), re-queue the connection at the tail if it has more pending.
+//     One request per turn round-robins service across connections, so a
+//     client that pipelines 100 requests cannot starve its neighbours. At
+//     most as many requests are started as the scheduler pool has threads.
 //   * The scheduler pool's threads do all query work and run each
 //     completion, which queues the STATUS frame and frees the started slot.
 //

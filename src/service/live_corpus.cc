@@ -217,7 +217,7 @@ void LiveCorpus::InitInstruments() {
 
 void LiveCorpus::StartCompactorIfConfigured() {
   InitInstruments();
-  if (options_.background_compaction && options_.compact_after_deltas > 0) {
+  if (options_.compact_after_deltas > 0) {
     compactor_ = std::make_unique<BackgroundWorker>([this] {
       std::lock_guard<std::mutex> mlock(mutate_mu_);
       if (compact_cancel_.Expired()) return;  // tearing down: don't start
@@ -270,7 +270,7 @@ api::StatusOr<uint64_t> LiveCorpus::AppendDocument(const Sequence& doc) {
     epoch_ = NextServiceEpoch();
   }
   // Latency up to publication: the synchronous cost a caller experienced
-  // (a triggered compaction below accounts for itself).
+  // (a compaction triggered below runs on the compactor thread).
   inst_.appends->Add();
   inst_.delta_shards->Set(static_cast<int64_t>(outstanding));
   inst_.append_seconds->Observe(append_timer.ElapsedSeconds());
@@ -318,15 +318,9 @@ api::Status LiveCorpus::Compact() {
 }
 
 void LiveCorpus::MaybeCompactLocked() {
-  if (options_.compact_after_deltas == 0) return;
-  if (deltas_.size() < options_.compact_after_deltas) return;
-  if (compactor_ != nullptr) {
-    compactor_->Trigger();
-  } else {
-    // Synchronous trigger mode: the document just appended is alive, so
-    // this cannot hit the nothing-left precondition.
-    (void)CompactLocked(nullptr);
-  }
+  // compactor_ exists exactly when compact_after_deltas > 0.
+  if (compactor_ == nullptr) return;
+  if (deltas_.size() >= options_.compact_after_deltas) compactor_->Trigger();
 }
 
 api::Status LiveCorpus::CompactLocked(const CancelToken* cancel) {
@@ -790,7 +784,7 @@ uint64_t LiveCorpus::compactions() const {
   return compactions_;
 }
 
-uint64_t LiveCorpus::background_compactions() const {
+uint64_t LiveCorpus::triggered_compactions() const {
   return compactor_ ? compactor_->runs() : 0;
 }
 

@@ -26,13 +26,10 @@ struct LiveCorpusOptions {
   ShardedCorpusOptions base;
 
   // Fold the deltas back into the base once this many are outstanding
-  // (0 = compact only on explicit Compact() calls).
+  // (0 = compact only on explicit Compact() calls). A triggered compaction
+  // runs on a dedicated background thread (cleanly joined at destruction),
+  // never inside the appending call.
   size_t compact_after_deltas = 8;
-
-  // Run triggered compactions on a dedicated background thread (cleanly
-  // joined at destruction); with `false` a triggered compaction runs
-  // synchronously inside the mutating call — deterministic, for tests.
-  bool background_compaction = true;
 
   // Registry for the live-corpus instruments — append latency, compaction
   // duration and swap pause, delta/tombstone levels (null = the process
@@ -116,9 +113,9 @@ class LiveCorpus : public CorpusSource {
 
   // Appends one document: builds its delta shard synchronously and
   // publishes a new snapshot. Returns the document's id. May trigger a
-  // compaction (see LiveCorpusOptions). kInvalidArgument for an empty
-  // document, an alphabet mismatch, or overflowing the 2^32-1 coordinate
-  // limit.
+  // background compaction (see LiveCorpusOptions). kInvalidArgument for an
+  // empty document, an alphabet mismatch, or overflowing the 2^32-1
+  // coordinate limit.
   api::StatusOr<uint64_t> AppendDocument(const Sequence& doc);
 
   // Tombstones one document. kNotFound for an unknown id,
@@ -153,9 +150,11 @@ class LiveCorpus : public CorpusSource {
   size_t num_deltas() const;
   size_t num_tombstones() const;
   uint64_t compactions() const;
-  uint64_t background_compactions() const;  // completed background runs
-  // Blocks until no background compaction is pending or running; returns
-  // at once without a background compactor.
+  // Completed runs of the compactor thread (compact_after_deltas
+  // triggers; explicit Compact() calls are not counted).
+  uint64_t triggered_compactions() const;
+  // Blocks until no triggered compaction is pending or running; returns
+  // at once when compact_after_deltas is 0.
   void DrainCompactions() const;
   std::vector<DocumentInfo> Documents() const;
   std::vector<TombstoneSpan> Tombstones() const;

@@ -124,9 +124,10 @@ QueryScheduler::QueryScheduler(const CorpusSource& source,
       registry_(options.registry != nullptr ? options.registry
                                             : &obs::MetricsRegistry::Default()),
       inst_(MakeInstruments(options, registry_)),
-      tracer_(obs::TracerOptions{options.trace_sample_rate, options.trace_seed,
-                                 options.slow_query_ms * 1'000'000,
-                                 /*keep_slow=*/8, options.slow_query_sink}),
+      tracer_(obs::TracerOptions{
+          .sample_rate = options.trace_sample_rate,
+          .slow_query_ns = options.slow_query_ms * 1'000'000,
+          .slow_sink = options.slow_query_sink}),
       cache_(options.cache_capacity),
       shard_cache_(options.shard_cache_capacity),
       pool_(options.threads, options.queue_capacity,
@@ -415,15 +416,17 @@ api::Status QueryScheduler::RunFused(const Call& call, Query* q) {
 
 void QueryScheduler::Start(Call* call) {
   const size_t n = call->requests.size();
-  if (call->verb != nullptr) call->verb->Add(n);
   // Lifecycle registration: a call registered here is guaranteed to finish
   // (Shutdown waits for it); one arriving after Shutdown began is refused.
+  // The verb count is taken after registering, so a visible count proves
+  // its calls are registered.
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     if (shutdown_) {
       call->refusal = api::Status::Cancelled("scheduler is shut down");
     }
     ++active_calls_;
+    if (call->verb != nullptr) call->verb->Add(n);
   }
   std::vector<api::QueryOutcome>& outcomes = call->outcomes;
   outcomes.resize(n);

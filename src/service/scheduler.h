@@ -67,12 +67,12 @@ struct SchedulerOptions {
   // Request tracing: this fraction of requests that do NOT carry their
   // own SearchRequest::trace get a scheduler-owned Trace recording the
   // admission / compile / queue-wait / per-slice execute / merge stages.
-  // The sampling sequence is deterministic in trace_seed. Sampled traces
-  // whose wall time reaches slow_query_ms are rendered as span trees
-  // into the slow-query log (kept in a small ring, and forwarded to
-  // slow_query_sink when set). 0 disables sampling / the slow log.
+  // The sampling sequence is deterministic (TracerOptions's fixed seed).
+  // Sampled traces whose wall time reaches slow_query_ms are rendered as
+  // span trees into the slow-query log (kept in a small ring, and
+  // forwarded to slow_query_sink when set). 0 disables sampling / the
+  // slow log.
   double trace_sample_rate = 0.0;
-  uint64_t trace_seed = 0x9e3779b97f4a7c15ull;
   int64_t slow_query_ms = 0;
   std::function<void(const std::string&)> slow_query_sink;
 };

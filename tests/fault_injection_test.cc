@@ -56,7 +56,6 @@ LiveCorpusOptions SmallLiveOptions() {
   options.base.shard_size = 500;
   options.base.overlap = 190;
   options.compact_after_deltas = 0;
-  options.background_compaction = false;
   return options;
 }
 

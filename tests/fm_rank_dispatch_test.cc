@@ -1,10 +1,9 @@
 // Differential tests for the coarse-grained rank dispatch (fm_rank.h): the
 // portable SWAR tier and the native-popcnt clone are the same code compiled
 // twice, so every entry point must agree bit-for-bit on every layout. The
-// native tier is exercised only where the host supports it — CI's portable
-// build on a popcnt-capable runner takes the real dispatch path; the
-// ALAE_PORTABLE_BINARY=OFF job compiles the portable tier natively and the
-// switch degenerates to a no-op (ActiveFmRankTier stays kNativePopcnt).
+// native tier is exercised only where the host supports it (popcnt and a
+// toolchain that built the -mpopcnt clone); elsewhere the tests check that
+// the portable tier is the only one reported.
 
 #include <gtest/gtest.h>
 

@@ -37,7 +37,6 @@ LiveCorpusOptions SmallLiveOptions() {
   options.base.shard_size = 500;
   options.base.overlap = 190;
   options.compact_after_deltas = 0;  // tests drive compaction explicitly
-  options.background_compaction = false;
   return options;
 }
 
@@ -227,42 +226,31 @@ TEST(LiveCorpus, MutationStatusSemantics) {
   EXPECT_EQ(live->compactions(), 1u);
 }
 
-// Synchronous trigger mode: with background_compaction=false the
-// compact_after_deltas threshold folds deltas inside the appending call.
-TEST(LiveCorpus, SynchronousCompactionTrigger) {
-  SequenceGenerator gen(32);
-  LiveCorpusOptions options = SmallLiveOptions();
-  options.compact_after_deltas = 2;
-  std::unique_ptr<LiveCorpus> live = MustBuildLive(
-      gen.Random(600, Alphabet::Dna()), {DocumentSpan{0, 0, 600}}, options);
-
-  ASSERT_TRUE(live->AppendDocument(gen.Random(100, Alphabet::Dna())).ok());
-  EXPECT_EQ(live->num_deltas(), 1u);
-  EXPECT_EQ(live->compactions(), 0u);
-  ASSERT_TRUE(live->AppendDocument(gen.Random(100, Alphabet::Dna())).ok());
-  EXPECT_EQ(live->num_deltas(), 0u);
-  EXPECT_EQ(live->compactions(), 1u);
-  EXPECT_EQ(live->text_size(), 800);
-}
-
-// Background trigger mode: the same threshold, compacted by the worker
-// thread and waited out through DrainCompactions.
+// The compact_after_deltas threshold: below it the deltas stay; reaching
+// it folds them on the compactor thread, waited out through
+// DrainCompactions.
 TEST(LiveCorpus, BackgroundCompactionTrigger) {
   SequenceGenerator gen(33);
   LiveCorpusOptions options = SmallLiveOptions();
   options.compact_after_deltas = 3;
-  options.background_compaction = true;
   std::unique_ptr<LiveCorpus> live = MustBuildLive(
       gen.Random(600, Alphabet::Dna()), {DocumentSpan{0, 0, 600}}, options);
 
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(live->AppendDocument(gen.Random(90, Alphabet::Dna())).ok());
   }
+  live->DrainCompactions();
+  EXPECT_EQ(live->num_deltas(), 2u);
+  EXPECT_EQ(live->compactions(), 0u);
+  EXPECT_EQ(live->triggered_compactions(), 0u);
+
+  ASSERT_TRUE(live->AppendDocument(gen.Random(90, Alphabet::Dna())).ok());
   // The trigger is asynchronous; wait for the fold to land.
   live->DrainCompactions();
-  EXPECT_GE(live->compactions(), 1u);
-  EXPECT_GE(live->background_compactions(), 1u);
   EXPECT_EQ(live->num_deltas(), 0u);
+  EXPECT_EQ(live->compactions(), 1u);
+  EXPECT_EQ(live->triggered_compactions(), 1u);
+  EXPECT_EQ(live->text_size(), 870);
 }
 
 // ---------------------------------------------------------------------------

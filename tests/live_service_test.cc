@@ -37,7 +37,6 @@ TEST(LiveServiceConcurrency, MutateWhileQueryHammer) {
   options.base.shard_size = 500;
   options.base.overlap = 190;
   options.compact_after_deltas = 3;
-  options.background_compaction = true;
 
   // The mutator's private model: id -> body, alive. Only the mutator
   // thread writes it; the main thread reads it after joining.
@@ -168,7 +167,6 @@ TEST(LiveServiceConcurrency, FragmentCacheSurvivesAppendsAndEpochBumps) {
   options.base.shard_size = 500;
   options.base.overlap = 190;
   options.compact_after_deltas = 0;
-  options.background_compaction = false;
   auto built = LiveCorpus::Build(
       gen.TextWithRepeats(1'400, Alphabet::Dna(), {{70, 4, 0.1}}), options);
   ASSERT_TRUE(built.ok()) << built.status().ToString();

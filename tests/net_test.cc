@@ -121,21 +121,6 @@ TEST(NetServer, SocketAnswersMatchDirectSchedulerAllBackends) {
   }
 }
 
-// Same bit-exactness through the portable poll() event loop.
-TEST(NetServer, ForcePollBackendServesIdentically) {
-  NetServerOptions options;
-  options.force_poll = true;
-  SmallRig rig(options);
-  NetClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", rig.server->port()).ok());
-  for (size_t q = 0; q < rig.workload.queries.size(); ++q) {
-    api::StatusOr<NetClient::Response> response = client.Call(rig.Wire(q + 1, q));
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    ASSERT_EQ(response->status.code, WireCode::kOk);
-    EXPECT_EQ(response->hits, rig.Direct("alae", q));
-  }
-}
-
 // Pipelined admission: many requests sent before any response is read,
 // responses demultiplexed by id and awaited out of order.
 TEST(NetServer, PipelinedRequestsOnOneConnection) {
@@ -197,55 +182,83 @@ TEST(NetServer, ConcurrentClientsAreServedCorrectly) {
 
 // The event loop starts requests without blocking, and starting one never
 // waits on the pool: one pool thread serving per-slice fan-outs for four
-// pipelining connections makes progress and answers bit-exactly, on both
-// pollers.
+// pipelining connections makes progress and answers bit-exactly.
 TEST(NetServer, OnePoolThreadServesPipelinedPerSliceRequests) {
-  for (const bool force_poll : {false, true}) {
-    NetServerOptions options;
-    options.force_poll = force_poll;
-    SmallRig rig(options, SchedulerOptions{.threads = 1});
-    ASSERT_GE(rig.corpus->num_shards(), 2u);
-    const std::vector<AlignmentHit> expected[3] = {
-        rig.Direct("sw", 0), rig.Direct("sw", 1), rig.Direct("sw", 2)};
+  SmallRig rig({}, SchedulerOptions{.threads = 1});
+  ASSERT_GE(rig.corpus->num_shards(), 2u);
+  const std::vector<AlignmentHit> expected[3] = {
+      rig.Direct("sw", 0), rig.Direct("sw", 1), rig.Direct("sw", 2)};
 
-    const int kClients = 4;
-    const int kPerClient = 8;
-    std::vector<std::thread> threads;
-    std::vector<int> failures(kClients, 0);
-    for (int c = 0; c < kClients; ++c) {
-      threads.emplace_back([&, c] {
-        NetClient client;
-        if (!client.Connect("127.0.0.1", rig.server->port()).ok()) {
-          failures[c] = 100;
-          return;
+  const int kClients = 4;
+  const int kPerClient = 8;
+  std::vector<std::thread> threads;
+  std::vector<int> failures(kClients, 0);
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      NetClient client;
+      if (!client.Connect("127.0.0.1", rig.server->port()).ok()) {
+        failures[c] = 100;
+        return;
+      }
+      for (int i = 0; i < kPerClient; ++i) {
+        WireRequest request = rig.Wire(static_cast<uint32_t>(i + 1),
+                                       static_cast<size_t>((c + i) % 3));
+        request.backend = "sw";
+        if (!client.Send(request).ok()) ++failures[c];
+      }
+      for (int i = 0; i < kPerClient; ++i) {
+        api::StatusOr<NetClient::Response> response =
+            client.Await(static_cast<uint32_t>(i + 1));
+        if (!response.ok() || response->status.code != WireCode::kOk ||
+            response->hits != expected[(c + i) % 3]) {
+          ++failures[c];
         }
-        for (int i = 0; i < kPerClient; ++i) {
-          WireRequest request = rig.Wire(static_cast<uint32_t>(i + 1),
-                                         static_cast<size_t>((c + i) % 3));
-          request.backend = "sw";
-          if (!client.Send(request).ok()) ++failures[c];
-        }
-        for (int i = 0; i < kPerClient; ++i) {
-          api::StatusOr<NetClient::Response> response =
-              client.Await(static_cast<uint32_t>(i + 1));
-          if (!response.ok() || response->status.code != WireCode::kOk ||
-              response->hits != expected[(c + i) % 3]) {
-            ++failures[c];
-          }
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (int c = 0; c < kClients; ++c) {
-      EXPECT_EQ(failures[c], 0) << "client " << c << " force_poll "
-                                << force_poll;
-    }
-    // The completion counts a request just after queueing its STATUS.
-    EXPECT_TRUE(WaitUntil([&] {
-      return rig.server->requests_completed() ==
-             static_cast<uint64_t>(kClients * kPerClient);
-    })) << rig.server->requests_completed() << " completed";
+      }
+    });
   }
+  for (std::thread& t : threads) t.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(failures[c], 0) << "client " << c;
+  }
+  // The completion counts a request just after queueing its STATUS.
+  EXPECT_TRUE(WaitUntil([&] {
+    return rig.server->requests_completed() ==
+           static_cast<uint64_t>(kClients * kPerClient);
+  })) << rig.server->requests_completed() << " completed";
+}
+
+// One poll() set carries many more connections than the benchmark opens:
+// 64 connections, all open at once, each with one request in flight, are
+// all answered bit-exactly.
+TEST(NetServer, ServesManyConnectionsThroughOnePoll) {
+  SmallRig rig;
+  const std::vector<AlignmentHit> expected[3] = {
+      rig.Direct("alae", 0), rig.Direct("alae", 1), rig.Direct("alae", 2)};
+
+  const int kConnections = 64;
+  std::vector<NetClient> clients(kConnections);
+  for (int c = 0; c < kConnections; ++c) {
+    ASSERT_TRUE(clients[c].Connect("127.0.0.1", rig.server->port()).ok());
+  }
+  // Every request is on the wire before any answer is read, so all 64
+  // sockets sit in the poll set together.
+  for (int c = 0; c < kConnections; ++c) {
+    ASSERT_TRUE(clients[c].Send(rig.Wire(1, static_cast<size_t>(c % 3))).ok());
+  }
+  for (int c = 0; c < kConnections; ++c) {
+    api::StatusOr<NetClient::Response> response = clients[c].Await(1);
+    ASSERT_TRUE(response.ok()) << "connection " << c << ": "
+                               << response.status().ToString();
+    ASSERT_EQ(response->status.code, WireCode::kOk)
+        << "connection " << c << ": " << response->status.message;
+    EXPECT_EQ(response->hits, expected[c % 3]) << "connection " << c;
+  }
+  EXPECT_EQ(rig.server->connections_accepted(),
+            static_cast<uint64_t>(kConnections));
+  EXPECT_TRUE(WaitUntil([&] {
+    return rig.server->requests_completed() ==
+           static_cast<uint64_t>(kConnections);
+  })) << rig.server->requests_completed() << " completed";
 }
 
 // A request whose alphabet does not match the corpus is rejected cleanly.

@@ -101,16 +101,22 @@ TEST(ServiceShutdown, ShutdownHammerLeavesOnlyOkOrCancelled) {
 
 // The destructor race the class doc promises is safe: clients start one
 // Search each, the scheduler is destroyed while they are in flight, and
-// each call returns its answer or kCancelled — never UB. Each client
-// makes exactly one call that begins before destruction starts, so no
-// call ever targets a freed scheduler.
+// each call returns its answer or kCancelled — never UB. Destruction
+// starts only once the round's private registry counts every client's
+// call as registered (the scheduler bumps the per-verb request count
+// after registering a call), so no call ever targets a freed scheduler.
 TEST(ServiceShutdown, DestructionWithInflightClientsIsClean) {
   Workload w = SmallWorkload(12);
   auto corpus = SmallCorpus(w);
   for (int round = 0; round < 8; ++round) {
+    // Declared before the scheduler so it outlives it.
+    obs::MetricsRegistry registry;
+    const obs::Counter* const registered = registry.GetCounter(
+        "alae_scheduler_requests_total{verb=\"search\"}");
     auto scheduler = std::make_unique<QueryScheduler>(
-        *corpus, SchedulerOptions{.threads = 2, .cache_capacity = 0});
-    std::atomic<int> started{0};
+        *corpus, SchedulerOptions{.threads = 2,
+                                  .cache_capacity = 0,
+                                  .registry = &registry});
     std::atomic<int> unexpected{0};
     constexpr int kClients = 4;
     // Clients hold the raw pointer: reading the unique_ptr itself would
@@ -120,7 +126,6 @@ TEST(ServiceShutdown, DestructionWithInflightClientsIsClean) {
       SearchRequest request;
       request.query = w.queries[static_cast<size_t>(id) % w.queries.size()];
       request.threshold = 16;
-      ++started;
       api::StatusOr<SearchResponse> response = target->Search("alae", request);
       if (!response.ok() &&
           response.status().code() != StatusCode::kCancelled &&
@@ -130,7 +135,9 @@ TEST(ServiceShutdown, DestructionWithInflightClientsIsClean) {
     };
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) clients.emplace_back(client, c);
-    while (started.load() < kClients) std::this_thread::yield();
+    while (registered->Value() < static_cast<uint64_t>(kClients)) {
+      std::this_thread::yield();
+    }
     // Destruction now races the in-flight Search calls; ~QueryScheduler
     // must cancel and wait them out before freeing anything they touch.
     scheduler.reset();
@@ -150,7 +157,6 @@ TEST(ServiceShutdown, LiveCorpusTeardownAbortsBackgroundCompaction) {
     options.base.shard_size = 2'000;
     options.base.overlap = 300;
     options.compact_after_deltas = 2;
-    options.background_compaction = true;
     auto live = LiveCorpus::Build(gen.Random(20'000, Alphabet::Dna()),
                                   options);
     ASSERT_TRUE(live.ok()) << live.status().ToString();
