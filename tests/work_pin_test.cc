@@ -150,5 +150,22 @@ TEST(WorkPin, DnaShortShardsDominated) {
   EXPECT_TRUE(moved.empty()) << "work counters moved:\n" << moved;
 }
 
+// One protein shard: sigma^q >> n, so most query grams that occur in the
+// text occur once, with one predecessor, and the domination filter skips
+// their forks whenever the query agrees with that predecessor.
+TEST(WorkPin, ProteinOneLaneDominated) {
+  PinnedWork got = RunFused(/*seed=*/404, Alphabet::Protein(), /*lanes=*/1,
+                            /*shard_length=*/2000, /*query_length=*/150,
+                            /*queries=*/4, /*threshold=*/16);
+  PinnedWork want = Want(/*c1=*/143, /*c2=*/74, /*c3=*/4208,
+                         /*assigned=*/112, /*reused=*/0, /*forks=*/28,
+                         /*dominated=*/158, /*nodes=*/665,
+                         /*extends=*/1728, /*extend_alls=*/3,
+                         /*lf_steps=*/180, /*text_steps=*/356,
+                         /*hits=*/490);
+  std::string moved = Moved(got, want);
+  EXPECT_TRUE(moved.empty()) << "work counters moved:\n" << moved;
+}
+
 }  // namespace
 }  // namespace alae
