@@ -92,7 +92,6 @@ void BM_FacadeSearch(benchmark::State& state) {
   api::SearchRequest request;
   request.query = gen.HomologousQuery(text, 500, 0.6, 0.2, 0.02);
   request.threshold = 30;
-  // Warm the lazily-built shared state outside the timed region.
   if (!aligner->Compile(request).status().ok()) {
     state.SkipWithError("compile failed");
     return;

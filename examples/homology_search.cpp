@@ -51,10 +51,10 @@ int main(int argc, char** argv) {
   const AlaeIndex& index = registry.index();
   std::printf("index built in %.2fs (%s + %s samples)\n",
               timer.ElapsedSeconds(),
-              std::to_string(index.SizeBytes().bwt_bytes / 1024 / 1024)
+              std::to_string(index.fm().SizeBytes().bwt_bytes / 1024 / 1024)
                   .append("MB occ")
                   .c_str(),
-              std::to_string(index.SizeBytes().sample_bytes / 1024 / 1024)
+              std::to_string(index.fm().SizeBytes().sample_bytes / 1024 / 1024)
                   .append("MB")
                   .c_str());
 

@@ -24,8 +24,8 @@ int main() {
       "TTGACGGCTAGCAAGTGCTAGGTTACCAGGCATTAAGGCTAACCGGTTAACCGG",
       Alphabet::Dna());
 
-  // Index once (FM-index over reverse(T) + lazily-built domination
-  // indexes); every backend the registry creates shares it.
+  // Index once (FM-index over reverse(T)); every backend the registry
+  // creates shares it.
   api::AlignerRegistry registry(text);
   api::StatusOr<std::unique_ptr<api::Aligner>> aligner =
       registry.Create("alae");

@@ -22,9 +22,9 @@ struct DpCounters {
   uint64_t reused = 0;          // cells copied from an earlier fork (§4)
   uint64_t forks_opened = 0;
   uint64_t forks_skipped_domination = 0;
-  // Always 0: no engine implements §3.2.1's bitset global filter (the
-  // domination index replaces it). Kept only because bench/e2e/layers.cc
-  // reads it.
+  // Always 0: no engine implements §3.2.1's bitset global filter
+  // (domination replaces it). Kept only because bench/e2e/layers.cc reads
+  // it.
   uint64_t forks_skipped_bitset = 0;
   uint64_t trie_nodes_visited = 0;
 

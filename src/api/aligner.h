@@ -52,10 +52,10 @@ class Aligner {
   // Validates a request against this backend without running it.
   Status Validate(const SearchRequest& request) const;
 
-  // Compiles a request into an immutable, thread-safe plan: validation,
-  // the backend's query-side precomputation, and warming of shared
-  // text-side state (e.g. ALAE's domination index for the plan's q), so
-  // concurrent Search(plan) calls only read. The plan is reusable across
+  // Compiles a request into an immutable, thread-safe plan: validation and
+  // the backend's query-side precomputation. Text-side state is immutable
+  // once the aligner exists, so concurrent Search(plan) calls only read
+  // shared state. The plan is reusable across
   // Search calls and across aligners of the same backend whose text shares
   // the request's alphabet.
   StatusOr<std::unique_ptr<QueryPlan>> Compile(SearchRequest request) const;

@@ -35,14 +35,8 @@ StatusOr<const Plan*> Typed(const QueryPlan& plan) {
 
 StatusOr<std::unique_ptr<QueryPlan>> AlaeBackend::CompileImpl(
     SearchRequest request) const {
-  auto plan = std::make_unique<AlaePlan>(name(), std::move(request));
-  // Warm the lazily-built domination index for the plan's q — derived by
-  // the same FilterContext the engine will use, so "warm shared state" and
-  // "build a plan" can never disagree about which index a search needs.
-  if (plan->request().alae.domination_filter) {
-    index_->Domination(plan->core().filters().q());
-  }
-  return StatusOr<std::unique_ptr<QueryPlan>>(std::move(plan));
+  return StatusOr<std::unique_ptr<QueryPlan>>(
+      std::make_unique<AlaePlan>(name(), std::move(request)));
 }
 
 Status AlaeBackend::SearchImpl(const QueryPlan& plan, const HitSink& sink,

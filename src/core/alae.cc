@@ -26,30 +26,6 @@ AlaeIndex::AlaeIndex(Sequence text, FmIndex fm)
          "adopted FM-index was built over a different alphabet");
 }
 
-const DominationIndex& AlaeIndex::Domination(int32_t q) const {
-  std::lock_guard<std::mutex> lock(domination_mu_);
-  auto it = domination_.find(q);
-  if (it == domination_.end()) {
-    it = domination_
-             .emplace(q, std::make_unique<DominationIndex>(text_, q))
-             .first;
-  }
-  return *it->second;
-}
-
-AlaeIndex::Sizes AlaeIndex::SizeBytes() const {
-  Sizes sizes;
-  FmIndex::Sizes fm_sizes = fm_.SizeBytes();
-  sizes.bwt_bytes = fm_sizes.bwt_bytes;
-  sizes.sample_bytes = fm_sizes.sample_bytes;
-  std::lock_guard<std::mutex> lock(domination_mu_);
-  for (const auto& [q, dom] : domination_) {
-    (void)q;
-    sizes.domination_bytes += dom->SizeBytes();
-  }
-  return sizes;
-}
-
 Alae::Alae(const AlaeIndex& index, AlaeConfig config)
     : index_(index), config_(config) {}
 
@@ -67,17 +43,22 @@ AlaeQueryPlan::AlaeQueryPlan(Sequence query, const ScoringScheme& scheme,
       gram_table_(query_, filters_.q()) {
   // The anchoring work list: the distinct grams in first-occurrence order,
   // identical for every index the plan runs against. A run's first
-  // position is its smallest, so marking each run at it and sweeping the
-  // positions in order lists the runs without a sort.
+  // position is its smallest, so sweeping the columns in order and keeping
+  // each run at its first position lists the runs without a sort.
   if (gram_table_.size() > 0) {
-    std::vector<int32_t> run_at(query_.size() - filters_.q() + 1, -1);
+    run_at_.resize(query_.size() - filters_.q() + 1);
     for (size_t run = 0; run < gram_table_.size(); ++run) {
-      run_at[gram_table_.occurrences(run)[0]] = static_cast<int32_t>(run);
+      for (int32_t j : gram_table_.occurrences(run)) {
+        run_at_[static_cast<size_t>(j)] = static_cast<int32_t>(run);
+      }
     }
     grams_.reserve(gram_table_.size());
-    for (size_t j = 0; j < run_at.size(); ++j) {
-      if (run_at[j] < 0) continue;
-      grams_.push_back({static_cast<int32_t>(j), run_at[j]});
+    for (size_t j = 0; j < run_at_.size(); ++j) {
+      const int32_t run = run_at_[j];
+      if (gram_table_.occurrences(static_cast<size_t>(run))[0] ==
+          static_cast<int32_t>(j)) {
+        grams_.push_back({static_cast<int32_t>(j), run});
+      }
     }
   }
   profile_ = BuildDeltaProfile(scheme_, query_);
@@ -107,6 +88,7 @@ class Alae::Engine {
         filters_(plan.filters()),
         gram_table_(plan.gram_table()),
         grams_(plan.grams()),
+        run_at_(plan.run_at()),
         profile_(plan.profile()),
         query_lcp_(plan.query_lcp()),
         reuse_group_(config_.reuse ? query_lcp_ : nullptr) {
@@ -119,12 +101,6 @@ class Alae::Engine {
       fms_.push_back(&index->fm());
       cursors_.emplace_back(index->fm());
       texts_.push_back(index->text().symbols().data());
-    }
-    if (config_.domination_filter) {
-      domination_.reserve(lanes);
-      for (const AlaeIndex* index : indexes_) {
-        domination_.push_back(&index->Domination(filters_.q()));
-      }
     }
     results_.resize(lanes);
   }
@@ -185,7 +161,9 @@ class Alae::Engine {
   const FmIndex::RankCursor& cur(size_t lane) const { return cursors_[lane]; }
 
   void ProcessGram(size_t run);
-  bool AnchorSurvivesDomination(const Symbol* gram, int32_t anchor);
+  // Fills dominated_: one ExtendBatch per lane over the anchors still
+  // dominated in every earlier lane.
+  void AnchorDomination();
 
   ForkState OpenGapRegion(int32_t anchor, int64_t row, int32_t fgoe_score);
 
@@ -247,13 +225,16 @@ class Alae::Engine {
   const FilterContext& filters_;
   const QGramTable& gram_table_;
   const std::vector<AlaeQueryPlan::Gram>& grams_;
+  const std::vector<int32_t>& run_at_;
   const std::vector<int32_t>& profile_;
   // Every run's subtree root in every lane, lane-major (lane l, run r at
   // l * runs + r): the anchoring descent extends each lane's runs in place.
   std::vector<SaRange> gram_roots_;
+  // Per query column: 1 when the gram there is dominated by the preceding
+  // query symbol in every lane. Empty when domination is off.
+  std::vector<uint8_t> dominated_;
   const LcpIndex* query_lcp_;
   RowReuseGroup reuse_group_;
-  std::vector<const DominationIndex*> domination_;  // per lane, maybe empty
 
   std::vector<ResultCollector> results_;  // one per lane
   DpCounters counters_;
@@ -375,6 +356,7 @@ void Alae::Engine::Run(std::vector<ResultCollector>* results,
       }
       counters_.fm_extends += static_cast<uint64_t>(live);
     }
+    if (config_.domination_filter && !scan_.fired()) AnchorDomination();
     for (size_t g = 0; g < grams_.size() && !scan_.fired(); ++g) {
       ProcessGram(static_cast<size_t>(grams_[g].run));
     }
@@ -387,29 +369,55 @@ void Alae::Engine::Run(std::vector<ResultCollector>* results,
   *results = std::move(results_);
 }
 
-bool Alae::Engine::AnchorSurvivesDomination(const Symbol* gram,
-                                            int32_t anchor) {
-  if (domination_.empty() || anchor < 1) return true;
-  // A fork may be skipped only when every lane's text dominates it — a
-  // lane where the gram is not dominated still needs the fork's rows.
-  // Skipping is a work-pruning choice, never a correctness one: the
-  // dominating fork reproduces the skipped fork's hits.
-  for (const DominationIndex* dom : domination_) {
-    Symbol predecessor = 0;
-    if (!(dom->IsDominated(gram, &predecessor) &&
-          query_[static_cast<size_t>(anchor - 1)] == predecessor)) {
-      return true;
+void Alae::Engine::AnchorDomination() {
+  // The gram g at column j is dominated by c = P[j-1] in a lane exactly
+  // when occ(c·g) == occ(g) > 0 there, and c·g is gram(j-1)'s root extended
+  // by P[j+q-1]. A skip needs every lane, so an anchor is a candidate only
+  // where both grams occur in every lane, and each lane extends just the
+  // candidates every earlier lane dominated.
+  const size_t num_lanes = lanes();
+  const size_t num_slots = gram_table_.size();
+  const size_t q = static_cast<size_t>(filters_.q());
+  std::vector<int32_t> candidates;
+  for (size_t j = 1; j < run_at_.size(); ++j) {
+    bool all = true;
+    for (size_t l = 0; l < num_lanes && all; ++l) {
+      const SaRange* roots = gram_roots_.data() + l * num_slots;
+      all = !roots[run_at_[j]].Empty() && !roots[run_at_[j - 1]].Empty();
     }
+    if (all) candidates.push_back(static_cast<int32_t>(j));
   }
-  ++counters_.forks_skipped_domination;
-  return false;
+  std::vector<SaRange> ranges;
+  std::vector<Symbol> syms;
+  for (size_t l = 0; l < num_lanes && !candidates.empty(); ++l) {
+    const SaRange* roots = gram_roots_.data() + l * num_slots;
+    ranges.clear();
+    syms.clear();
+    for (int32_t j : candidates) {
+      ranges.push_back(roots[run_at_[static_cast<size_t>(j) - 1]]);
+      syms.push_back(query_[static_cast<size_t>(j) + q - 1]);
+      cur(l).PrefetchRange(ranges.back());
+    }
+    cur(l).ExtendBatch(ranges.data(), syms.data(), ranges.data(),
+                       static_cast<int>(ranges.size()));
+    counters_.fm_extends += ranges.size();
+    size_t kept = 0;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const int32_t j = candidates[i];
+      if (ranges[i].Count() == roots[run_at_[static_cast<size_t>(j)]].Count()) {
+        candidates[kept++] = j;
+      }
+    }
+    candidates.resize(kept);
+  }
+  dominated_.assign(run_at_.size(), 0);
+  for (int32_t j : candidates) dominated_[static_cast<size_t>(j)] = 1;
 }
 
 void Alae::Engine::ProcessGram(size_t run) {
   const std::span<const int32_t> anchors = gram_table_.occurrences(run);
   const int32_t q = filters_.q();
   const size_t num_lanes = lanes();
-  const Symbol* gram = query_.symbols().data() + anchors[0];
   ++grams_searched_;
 
   // The gram's subtree root in every lane was anchored up front (Run's
@@ -429,7 +437,12 @@ void Alae::Engine::ProcessGram(size_t run) {
   root_forks.reserve(anchors.size());
   for (int32_t anchor : anchors) {
     ++anchors_considered_;
-    if (!AnchorSurvivesDomination(gram, anchor)) continue;
+    // Skipping is a work-pruning choice, never a correctness one: the
+    // dominating fork reproduces the skipped fork's hits.
+    if (!dominated_.empty() && dominated_[static_cast<size_t>(anchor)]) {
+      ++counters_.forks_skipped_domination;
+      continue;
+    }
     root_forks.push_back({anchor, scheme_.sa * q, -1, 0});
     ++counters_.forks_opened;
   }

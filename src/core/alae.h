@@ -2,9 +2,7 @@
 #define ALAE_CORE_ALAE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/align/counters.h"
@@ -12,7 +10,6 @@
 #include "src/align/scoring.h"
 #include "src/core/config.h"
 #include "src/core/filters.h"
-#include "src/index/domination_index.h"
 #include "src/index/fm_index.h"
 #include "src/index/lcp.h"
 #include "src/index/qgram_index.h"
@@ -21,10 +18,11 @@
 
 namespace alae {
 
-// The text-side index bundle ALAE queries against: the FM-index built over
-// reverse(T) (suffix-trie emulation, paper §5) plus lazily-built domination
-// indexes, one per q (the q-prefix length depends on the scoring scheme and
-// threshold, §3.2.2).
+// The text-side index ALAE queries against: the FM-index built over
+// reverse(T) (suffix-trie emulation, paper §5). Immutable after
+// construction. §3.2.2's domination test needs no structure of its own: the
+// engine reads it off the FM ranges it already computes (see
+// AlaeQueryPlan::run_at).
 class AlaeIndex {
  public:
   // Takes the text by value so callers that are done with it can move it
@@ -41,24 +39,9 @@ class AlaeIndex {
   int64_t text_size() const { return static_cast<int64_t>(text_.size()); }
   const FmIndex& fm() const { return fm_; }
 
-  // Domination index for prefix length q (built on first use, cached;
-  // thread-safe so batch runs can share one index).
-  const DominationIndex& Domination(int32_t q) const;
-
-  // Index footprint: FM components plus all materialised domination
-  // indexes (the two curves of Fig 11).
-  struct Sizes {
-    size_t bwt_bytes = 0;
-    size_t sample_bytes = 0;
-    size_t domination_bytes = 0;
-  };
-  Sizes SizeBytes() const;
-
  private:
   Sequence text_;
   FmIndex fm_;
-  mutable std::mutex domination_mu_;
-  mutable std::map<int32_t, std::unique_ptr<DominationIndex>> domination_;
 };
 
 // One aligned query's outcome: results plus instrumentation.
@@ -105,6 +88,14 @@ class AlaeQueryPlan {
   };
   const std::vector<Gram>& grams() const { return grams_; }
 
+  // For each query column j (0 <= j <= m - q), the gram_table() run whose
+  // gram starts there. Domination (§3.2.2, Definition 1 / Lemma 1) reads it:
+  // the gram g at column j is dominated with predecessor c = P[j-1] in a
+  // text exactly when occ(c·g) == occ(g) > 0 there — an occurrence at text
+  // position 0 has no predecessor and so is missing from occ(c·g) — and
+  // c·g = P[j-1..j+q-1] is one extension of run_at[j-1]'s gram by P[j+q-1].
+  const std::vector<int32_t>& run_at() const { return run_at_; }
+
   // sigma x m substitution profile (the row kernel's delta lane).
   const std::vector<int32_t>& profile() const { return profile_; }
 
@@ -119,6 +110,7 @@ class AlaeQueryPlan {
   FilterContext filters_;
   QGramTable gram_table_;
   std::vector<Gram> grams_;
+  std::vector<int32_t> run_at_;
   std::vector<int32_t> profile_;
   std::unique_ptr<LcpIndex> query_lcp_;
 };
@@ -132,9 +124,10 @@ class AlaeQueryPlan {
 // regions opened at FGOEs run the full affine recurrence over a column
 // interval pruned by the score filter (Theorem 2) and capped by the length
 // filter (Theorem 1). Forks dominated by the preceding query column are
-// skipped entirely (§3.2.2's domination index, which stands in for §3.2.1's
-// n*m-bit global filter). Gap-region rows are copied between forks whose
-// FGOEs share a row and whose query suffixes share a prefix (§4).
+// skipped entirely (§3.2.2's domination, read off the FM-index, which stands
+// in for §3.2.1's n*m-bit global filter). Gap-region rows are copied
+// between forks whose FGOEs share a row and whose query suffixes share a
+// prefix (§4).
 //
 // Results are identical to Smith-Waterman / BWT-SW: every end pair (i, j)
 // with A(i,j).score >= H, with the exact score (see the property tests).

@@ -50,8 +50,7 @@ api::StatusOr<const api::Aligner*> ShardIndex::AlignerFor(
 }
 
 size_t ShardIndex::IndexBytes() const {
-  AlaeIndex::Sizes sz = registry_.index().SizeBytes();
-  return sz.bwt_bytes + sz.sample_bytes + sz.domination_bytes;
+  return registry_.index().fm().SizeBytes().Total();
 }
 
 ShardSlice ShardIndex::Slice() const {

@@ -95,7 +95,7 @@ class ShardIndex {
   // unknown backend names.
   api::StatusOr<const api::Aligner*> AlignerFor(std::string_view backend) const;
 
-  // Index footprint: BWT, SA samples and domination index.
+  // Index footprint: the FM-index's BWT and SA samples.
   size_t IndexBytes() const;
 
   // A slice served by this index: `registry` and `aligner_for` set, the

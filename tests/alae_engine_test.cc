@@ -139,20 +139,6 @@ TEST(AlaeEngine, PrefixFilterReducesForks) {
   EXPECT_LT(full_stats.counters.Calculated(), q1_stats.counters.Calculated());
 }
 
-TEST(AlaeIndex, DominationIndexIsCachedPerQ) {
-  SequenceGenerator gen(208);
-  Sequence text = gen.Random(1000, Alphabet::Dna());
-  AlaeIndex index(text);
-  const DominationIndex& a = index.Domination(4);
-  const DominationIndex& b = index.Domination(4);
-  EXPECT_EQ(&a, &b);
-  const DominationIndex& c = index.Domination(5);
-  EXPECT_NE(&a, &c);
-  AlaeIndex::Sizes sizes = index.SizeBytes();
-  EXPECT_GT(sizes.bwt_bytes, 0u);
-  EXPECT_GT(sizes.domination_bytes, 0u);
-}
-
 TEST(AlaeEngine, EmptyAndShortQueries) {
   SequenceGenerator gen(209);
   Sequence text = gen.Random(500, Alphabet::Dna());

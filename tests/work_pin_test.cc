@@ -113,7 +113,7 @@ TEST(WorkPin, DnaTwoLanes) {
   PinnedWork want = Want(/*c1=*/24314, /*c2=*/683, /*c3=*/27043,
                          /*assigned=*/2364, /*reused=*/270, /*forks=*/591,
                          /*dominated=*/0, /*nodes=*/23946,
-                         /*extends=*/10522, /*extend_alls=*/7237,
+                         /*extends=*/11110, /*extend_alls=*/7237,
                          /*lf_steps=*/1033, /*text_steps=*/2009,
                          /*hits=*/180);
   std::string moved = Moved(got, want);
@@ -143,7 +143,7 @@ TEST(WorkPin, DnaShortShardsDominated) {
   PinnedWork want = Want(/*c1=*/6404, /*c2=*/481, /*c3=*/24235,
                          /*assigned=*/3032, /*reused=*/247, /*forks=*/758,
                          /*dominated=*/9, /*nodes=*/7526,
-                         /*extends=*/5744, /*extend_alls=*/1556,
+                         /*extends=*/6179, /*extend_alls=*/1556,
                          /*lf_steps=*/945, /*text_steps=*/1236,
                          /*hits=*/187);
   std::string moved = Moved(got, want);
@@ -160,7 +160,7 @@ TEST(WorkPin, ProteinOneLaneDominated) {
   PinnedWork want = Want(/*c1=*/143, /*c2=*/74, /*c3=*/4208,
                          /*assigned=*/112, /*reused=*/0, /*forks=*/28,
                          /*dominated=*/158, /*nodes=*/665,
-                         /*extends=*/1728, /*extend_alls=*/3,
+                         /*extends=*/1889, /*extend_alls=*/3,
                          /*lf_steps=*/180, /*text_steps=*/356,
                          /*hits=*/490);
   std::string moved = Moved(got, want);
