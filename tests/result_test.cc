@@ -17,6 +17,18 @@ TEST(ResultCollector, KeepsMaximumScorePerEndPair) {
   EXPECT_EQ(rc.BestScore(), 9);
 }
 
+// Among equal scores the first Add's start wins, so an engine's visit order
+// shows in text_start even though operator== ignores it.
+TEST(ResultCollector, EqualScoreKeepsFirstStart) {
+  ResultCollector rc;
+  rc.Add(10, 5, 7, 3);
+  rc.Add(10, 5, 7, 1);
+  std::vector<AlignmentHit> hits = rc.Sorted();
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].score, 7);
+  EXPECT_EQ(hits[0].text_start, 3);
+}
+
 TEST(ResultCollector, DistinctEndPairsAreSeparate) {
   ResultCollector rc;
   rc.Add(10, 5, 7);

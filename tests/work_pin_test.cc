@@ -3,7 +3,9 @@
 // corpus, query set and plan are deterministic, so a change that is meant
 // to remove overhead only (not pruning) must leave every one of them
 // untouched; a change that alters the work on purpose updates the pinned
-// numbers and states the delta.
+// numbers and states the delta. The hit digest pins the answers
+// themselves, not just their number: ResultCollector keeps the start of the
+// first Add among equal scores, so the DFS order is visible in text_start.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +20,25 @@
 namespace alae {
 namespace {
 
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+// FNV-1a over the value's eight little-endian bytes.
+uint64_t FnvMix(uint64_t h, int64_t value) {
+  const uint64_t v = static_cast<uint64_t>(value);
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (v >> (8 * byte)) & 0xff;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
 struct PinnedWork {
   DpCounters counters;
   uint64_t hits = 0;
+  // FNV-1a over every lane's Sorted() hits, in query then lane order:
+  // (text_end, query_end, score, text_start) per hit.
+  uint64_t hit_digest = kFnvOffset;
 };
 
 // Runs `queries` queries through Alae::RunSharded over `lanes` shards of
@@ -51,7 +69,15 @@ PinnedWork RunFused(uint64_t seed, const Alphabet& alphabet, int lanes,
     AlaeRunStats stats;
     Alae::RunSharded(plan, indexes, &results, &stats);
     total.counters.Merge(stats.counters);
-    for (const ResultCollector& r : results) total.hits += r.size();
+    for (const ResultCollector& r : results) {
+      total.hits += r.size();
+      for (const AlignmentHit& hit : r.Sorted()) {
+        total.hit_digest = FnvMix(total.hit_digest, hit.text_end);
+        total.hit_digest = FnvMix(total.hit_digest, hit.query_end);
+        total.hit_digest = FnvMix(total.hit_digest, hit.score);
+        total.hit_digest = FnvMix(total.hit_digest, hit.text_start);
+      }
+    }
   }
   return total;
 }
@@ -82,13 +108,18 @@ std::string Moved(const PinnedWork& got, const PinnedWork& want) {
   check("fm_lf_steps", g.fm_lf_steps, w.fm_lf_steps);
   check("fm_text_steps", g.fm_text_steps, w.fm_text_steps);
   check("hits", got.hits, want.hits);
+  if (got.hit_digest != want.hit_digest) {
+    out << "  hit_digest: 0x" << std::hex << want.hit_digest << " -> 0x"
+        << got.hit_digest << std::dec << "\n";
+  }
   return out.str();
 }
 
 PinnedWork Want(uint64_t c1, uint64_t c2, uint64_t c3, uint64_t assigned,
                 uint64_t reused, uint64_t forks, uint64_t dominated,
                 uint64_t nodes, uint64_t extends, uint64_t extend_alls,
-                uint64_t lf_steps, uint64_t text_steps, uint64_t hits) {
+                uint64_t lf_steps, uint64_t text_steps, uint64_t hits,
+                uint64_t hit_digest) {
   PinnedWork w;
   w.counters.cells_cost1 = c1;
   w.counters.cells_cost2 = c2;
@@ -103,6 +134,7 @@ PinnedWork Want(uint64_t c1, uint64_t c2, uint64_t c3, uint64_t assigned,
   w.counters.fm_lf_steps = lf_steps;
   w.counters.fm_text_steps = text_steps;
   w.hits = hits;
+  w.hit_digest = hit_digest;
   return w;
 }
 
@@ -115,7 +147,8 @@ TEST(WorkPin, DnaTwoLanes) {
                          /*dominated=*/0, /*nodes=*/23946,
                          /*extends=*/11110, /*extend_alls=*/7237,
                          /*lf_steps=*/1033, /*text_steps=*/2009,
-                         /*hits=*/180);
+                         /*hits=*/180,
+                         /*hit_digest=*/0x5ae3a12a82d99875ull);
   std::string moved = Moved(got, want);
   EXPECT_TRUE(moved.empty()) << "work counters moved:\n" << moved;
 }
@@ -129,7 +162,8 @@ TEST(WorkPin, ProteinFourLanes) {
                          /*dominated=*/0, /*nodes=*/1075,
                          /*extends=*/3837, /*extend_alls=*/35,
                          /*lf_steps=*/200, /*text_steps=*/474,
-                         /*hits=*/75);
+                         /*hits=*/75,
+                         /*hit_digest=*/0x675c03277b894f8eull);
   std::string moved = Moved(got, want);
   EXPECT_TRUE(moved.empty()) << "work counters moved:\n" << moved;
 }
@@ -145,7 +179,8 @@ TEST(WorkPin, DnaShortShardsDominated) {
                          /*dominated=*/9, /*nodes=*/7526,
                          /*extends=*/6179, /*extend_alls=*/1556,
                          /*lf_steps=*/945, /*text_steps=*/1236,
-                         /*hits=*/187);
+                         /*hits=*/187,
+                         /*hit_digest=*/0x1e39590a04405bcaull);
   std::string moved = Moved(got, want);
   EXPECT_TRUE(moved.empty()) << "work counters moved:\n" << moved;
 }
@@ -162,7 +197,8 @@ TEST(WorkPin, ProteinOneLaneDominated) {
                          /*dominated=*/158, /*nodes=*/665,
                          /*extends=*/1889, /*extend_alls=*/3,
                          /*lf_steps=*/180, /*text_steps=*/356,
-                         /*hits=*/490);
+                         /*hits=*/490,
+                         /*hit_digest=*/0x92b1ed55321069a2ull);
   std::string moved = Moved(got, want);
   EXPECT_TRUE(moved.empty()) << "work counters moved:\n" << moved;
 }
