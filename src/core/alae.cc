@@ -173,7 +173,9 @@ class Alae::Engine {
   // reuse prefix and the RowSpec; the caller runs the kernel (single or
   // paired); FinishGapRow consumes the stats and runs the scalar
   // boundary/tail cells. Begin + ComputeRowAuto + Finish is exactly the
-  // old single-fork step.
+  // old single-fork step. The pair is engine scratch (gap_steps_), set up
+  // only for a node that has gap forks; BeginGapRow resets every field
+  // FinishGapRow reads, so a slot carries nothing from its last use.
   struct GapStep {
     ForkState next;
     const ForkState* fork = nullptr;
@@ -243,9 +245,14 @@ class Alae::Engine {
 
   std::vector<PendingHit> pending_hits_;
 
-  // Buffers for the one-cell-shifted diagonal view of the previous row —
-  // one per in-flight GapStep, so a pending pair cannot alias.
+  // The gap-step pairing slots, and the buffers for the one-cell-shifted
+  // diagonal view of the previous row — one per in-flight GapStep, so a
+  // pending pair cannot alias.
+  GapStep gap_steps_[2];
   std::vector<int32_t> scratch_diag_m_[2];
+  // One multi-row lane's ExtendAll output; only its first sigma() entries
+  // are written and read, so it is not cleared between expansions.
+  SaRange rank_block_[kMaxStride];
 
   // Retired gap-row buffers, recycled so the DFS does not pay three heap
   // allocations per stepped row.
@@ -516,9 +523,10 @@ void Alae::Engine::ProcessGram(size_t run) {
   assert(stride <= kMaxStride && "alphabet wider than the fan-out bound");
 
   while (level > 0) {
-    // Cooperative abort: one tick per node visit (DP cells are accounted
-    // inside FinishGapRow); a fired token abandons the walk mid-subtree —
-    // results gathered so far stay valid, the rest never materialise.
+    // Cooperative abort: one tick per child symbol considered and per frame
+    // pop (DP cells are accounted inside FinishGapRow); a fired token
+    // abandons the walk mid-subtree — results gathered so far stay valid,
+    // the rest never materialise.
     if (scan_.Tick()) break;
     Frame& top = dfs_stack_[level - 1];
     if (top.next_child >= sigma) {
@@ -551,7 +559,6 @@ void Alae::Engine::ProcessGram(size_t run) {
         top.child_pos_lanes[c].clear();
         top.child_pos_vals[c].clear();
       }
-      SaRange block[kMaxStride];
       if (top.lanes.size() > 1) {
         // Cross-lane prefetch: each live lane is about to rank its
         // boundary block(s); issuing every lane's fetch up front lets the
@@ -592,6 +599,7 @@ void Alae::Engine::ProcessGram(size_t run) {
           }
           ++counters_.fm_extends;
         } else {
+          SaRange* block = rank_block_;
           cursor.ExtendAll(r, block);
           const size_t index_sigma = static_cast<size_t>(cursor.sigma());
           for (size_t c = 0; c < index_sigma; ++c) {
@@ -649,8 +657,8 @@ void Alae::Engine::ProcessGram(size_t run) {
     // identical to the sequential step. The only ordering hazard is Lemma-3
     // reuse — a fork whose source is still pending would miss its prefix
     // copy — so such a fork forces a flush first.
-    {
-      GapStep steps[2];
+    if (!top.gap.empty()) {
+      GapStep* steps = gap_steps_;
       size_t npend = 0;
       auto flush = [&]() {
         if (npend == 2 && steps[0].has_kernel && steps[1].has_kernel) {
