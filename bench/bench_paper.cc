@@ -669,7 +669,7 @@ std::vector<Table> RunAblation(const BenchFlags& flags) {
   Table t{Format("Ablation: per-filter contribution (n=%" PRId64 ", m=%" PRId64
                  ", H=%d)", n, m, h),
           {"variant", "time (s)", "calculated", "cost", "reused", "forks",
-           "results"}};
+           "trie nodes", "ns/node", "results"}};
   const Workload w = MakeWorkload(flags, n, m);
   const api::AlignerRegistry registry(w.text);
   const std::pair<const char*, AlaeConfig> variants[] = {
@@ -687,9 +687,18 @@ std::vector<Table> RunAblation(const BenchFlags& flags) {
     const EngineResult r =
         RunAligner(registry, "alae", w.queries, scheme, h, config);
     const DpCounters& c = r.counters;
+    // Wall time per trie node visited, the walk's per-node overhead;
+    // printed only, no claim reads it.
+    const double ns_per_node =
+        c.trie_nodes_visited > 0
+            ? 1e9 * r.seconds * static_cast<double>(r.queries) /
+                  static_cast<double>(c.trie_nodes_visited)
+            : 0.0;
     t.rows.push_back({Text(name), r.Time(), r.PerQuery(c.Calculated()),
                       r.PerQuery(c.ComputationCost()), r.PerQuery(c.reused),
-                      r.PerQuery(c.forks_opened), r.C()});
+                      r.PerQuery(c.forks_opened),
+                      r.PerQuery(c.trie_nodes_visited), Num(ns_per_node, 1),
+                      r.C()});
   }
   return {t};
 }
