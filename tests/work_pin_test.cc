@@ -4,8 +4,8 @@
 // to remove overhead only (not pruning) must leave every one of them
 // untouched; a change that alters the work on purpose updates the pinned
 // numbers and states the delta. The hit digest pins the answers
-// themselves, not just their number: ResultCollector keeps the start of the
-// first Add among equal scores, so the DFS order is visible in text_start.
+// themselves, not just their number: end pair, score and start, where
+// AlignmentHit::operator== (and so every exactness suite) ignores starts.
 
 #include <gtest/gtest.h>
 
